@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import time
@@ -22,6 +23,7 @@ from kcover import (
     validate_completion,
     worst_case_spider,
 )
+from kcover.io import format_completion
 
 from helpers import path_graph, rooted, star_graph, valid_p3_partition
 
@@ -244,6 +246,28 @@ def test_approx_tree_k_even_k_addition_bound():
         trace = approx_tree_k_trace(rooted(g), k)
         iterations = len(trace.covered_per_iteration)
         assert len(trace.completion) <= iterations * math.comb(k, 2) - (n - 1)
+
+
+# sha256 of the concatenated completions below, recorded on the original
+# quadratic _ForestPool; any rewrite of the pool must reproduce it exactly.
+GOLDEN_TREE_APPROX_SHA256 = "92941159b41e8c916f85f94037b4d48fee611df310237062cffa795ccffef88d"
+
+
+def test_tree_approximations_golden_hash():
+    h = hashlib.sha256()
+    for n in (5, 6, 7, 9, 12, 20, 50, 200, 1000):
+        for seed in range(8):
+            t = rooted(gen_random_tree(n, seed))
+            for k in (5, 6, 7, 9):
+                if n >= k:
+                    h.update(format_completion(approx_tree_k(t, k)).encode())
+            if n >= 4:
+                h.update(format_completion(approx_tree_4(t)).encode())
+    for n in (11, 21, 101):
+        t = rooted(worst_case_spider(n))
+        for k in (5, 6):
+            h.update(format_completion(approx_tree_k(t, k)).encode())
+    assert h.hexdigest() == GOLDEN_TREE_APPROX_SHA256
 
 
 def test_approx_tree_4_frozen_examples():
