@@ -83,6 +83,14 @@ def format_completion(c: CompletionSet) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x: object) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
 def parse_setcover_json(text: str) -> SetCoverInstance:
     """{"universe": int, "sets": [[item, ...], ...], "t": int or null}"""
     try:
@@ -94,10 +102,17 @@ def parse_setcover_json(text: str) -> SetCoverInstance:
     for key in ("universe", "sets"):
         if key not in data:
             raise InputError(f"missing key {key!r}")
+    universe, sets, budget = data["universe"], data["sets"], data.get("t")
+    if not _is_int(universe) or universe < 0:
+        raise InputError(f"'universe' must be a non-negative integer, got {universe!r}")
+    if not isinstance(sets, list) or not all(_is_int_list(s) for s in sets):
+        raise InputError("'sets' must be a list of lists of integers")
+    if budget is not None and not _is_int(budget):
+        raise InputError(f"'t' must be an integer or null, got {budget!r}")
     return SetCoverInstance(
-        universe_size=data["universe"],
-        sets=tuple(frozenset(s) for s in data["sets"]),
-        budget=data.get("t"),
+        universe_size=universe,
+        sets=tuple(frozenset(s) for s in sets),
+        budget=budget,
     )
 
 
@@ -121,7 +136,12 @@ def parse_three_partition_json(text: str) -> ThreePartitionInstance:
     for key in ("s", "values"):
         if key not in data:
             raise InputError(f"missing key {key!r}")
-    return ThreePartitionInstance(target=data["s"], values=tuple(data["values"]))
+    target, values = data["s"], data["values"]
+    if not _is_int(target):
+        raise InputError(f"'s' must be an integer, got {target!r}")
+    if not _is_int_list(values):
+        raise InputError("'values' must be a list of integers")
+    return ThreePartitionInstance(target=target, values=tuple(values))
 
 
 def format_three_partition_json(inst: ThreePartitionInstance) -> str:

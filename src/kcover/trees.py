@@ -232,6 +232,18 @@ class _ForestPool:
     Components are tracked by min vertex id and bucketed by size so each
     extraction step can find either the smallest-id component overall or the
     smallest-id component with at least `budget` vertices.
+
+    A carve deletes the edges inside the chosen subtree; every chosen vertex
+    that keeps an edge roots one residual piece.  The pieces are explored in
+    lockstep, one new vertex per piece per turn, until a single piece is left
+    unfinished (Even and Shiloach, "An on-line edge-deletion problem", JACM
+    1981).  Each finished piece gets a new record.  The unfinished piece keeps
+    the old one: its size follows by subtraction, and its min id from a
+    pointer that only moves forward through the old sorted vertex list.  A
+    finished piece is no larger than the unfinished one, so it holds at most
+    half of the old component.  Each vertex is therefore explored O(log n)
+    times and the whole extraction costs O(n log n).  `explored` counts the
+    explored vertices, the initial component search included.
     """
 
     def __init__(self, n: int, edges: Iterable[Edge], k: int):
@@ -239,48 +251,42 @@ class _ForestPool:
         for u, v in edges:
             self.adj.setdefault(u, set()).add(v)
             self.adj.setdefault(v, set()).add(u)
+        # sorted neighbour lists; entries of nbrs[v] before scan[v] are gone edges
+        self.nbrs = {v: sorted(ws) for v, ws in self.adj.items()}
+        self.scan = [0] * n
+        self.owner = [-1] * n  # record id of each vertex's component, or -1
         self.k = k
-        self.comps: dict[int, list[int]] = {}
+        # record id -> [sorted vertex list, index of the min id in it, size]
+        self.comps: dict[int, list] = {}
         self.next_id = 0
-        # size buckets: exact sizes 2..k-1 plus one bucket for >= k
-        self.by_size: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
-        self.any_heap: list[tuple[int, int]] = []
-        seen: set[int] = set()
-        for start in sorted(self.adj):
-            if start in seen:
-                continue
-            comp = self._bfs(start, seen)
+        # heap entries (min id, size, record id); a record only ever shrinks,
+        # so an entry is live while its size matches the record's.  Size
+        # buckets: exact sizes 2..k-1 plus one bucket for >= k
+        self.by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+        self.any_heap: list[tuple[int, int, int]] = []
+        self.explored = len(self.adj)
+        for comp in _residual_components(self.adj):
             self._register(comp)
 
-    def _bfs(self, start: int, seen: set[int]) -> list[int]:
-        seen.add(start)
-        comp = [start]
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in self.adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        return comp
-
     def _register(self, comp: list[int]) -> None:
-        if len(comp) < 2:
-            return
         cid = self.next_id
         self.next_id += 1
-        self.comps[cid] = comp
-        entry = (comp[0], cid)
-        bucket = min(len(comp), self.k)
-        heapq.heappush(self.by_size[bucket], entry)
+        self.comps[cid] = [comp, 0, len(comp)]
+        for v in comp:
+            self.owner[v] = cid
+        self._push(cid)
+
+    def _push(self, cid: int) -> None:
+        verts, lo, size = self.comps[cid]
+        entry = (verts[lo], size, cid)
+        heapq.heappush(self.by_size[min(size, self.k)], entry)
         heapq.heappush(self.any_heap, entry)
 
-    def _peek(self, heap: list[tuple[int, int]]) -> tuple[int, int] | None:
+    def _peek(self, heap: list[tuple[int, int, int]]) -> tuple[int, int] | None:
         while heap:
-            min_id, cid = heap[0]
-            if cid in self.comps:
+            min_id, size, cid = heap[0]
+            rec = self.comps.get(cid)
+            if rec is not None and rec[2] == size:
                 return min_id, cid
             heapq.heappop(heap)
         return None
@@ -301,47 +307,100 @@ class _ForestPool:
         return best[1] if best else None
 
     def take_whole(self, cid: int) -> tuple[list[int], list[Edge]]:
-        comp = self.comps.pop(cid)
+        verts, lo, _ = self.comps.pop(cid)
+        owner = self.owner
+        # the list may still hold vertices carved away since it was built;
+        # scanning it once costs no more than building it did
+        comp = [v for v in verts[lo:] if owner[v] == cid]
         edges = []
         for v in comp:
-            for w in self.adj.get(v, ()):
+            for w in self.adj.pop(v):
                 if v < w:
                     edges.append((v, w))
-            self.adj.pop(v, None)
+            owner[v] = -1
         return comp, sorted(edges)
 
     def carve(self, cid: int, budget: int) -> tuple[list[int], list[Edge]]:
         """Extract a budget-vertex subtree (breadth-first from the min id)."""
-        comp = self.comps.pop(cid)
-        start = comp[0]
-        chosen = [start]
-        chosen_set = {start}
+        adj, nbrs, scan, owner = self.adj, self.nbrs, self.scan, self.owner
+        rec = self.comps[cid]
+        verts, lo, size = rec
+        chosen = [verts[lo]]
+        via = [-1]  # breadth-first parent of each chosen vertex
+        edges = []
         qi = 0
         while len(chosen) < budget:
             v = chosen[qi]
+            par = via[qi]
             qi += 1
-            for w in sorted(self.adj[v]):
-                if w not in chosen_set:
-                    chosen_set.add(w)
+            live = adj[v]
+            row = nbrs[v]
+            i = scan[v]
+            while i < len(row) and len(chosen) < budget:
+                w = row[i]
+                i += 1
+                if w != par and w in live:
                     chosen.append(w)
-                    if len(chosen) == budget:
-                        break
-        edges = []
+                    via.append(v)
+                    edges.append((v, w) if v < w else (w, v))
+            # every entry passed is now a removed or soon-removed edge
+            scan[v] = i
+        for u, v in edges:
+            adj[u].discard(v)
+            adj[v].discard(u)
+        roots = []
         for v in chosen:
-            keep = self.adj[v] - chosen_set
-            for w in self.adj[v] & chosen_set:
-                if v < w:
-                    edges.append((v, w))
-            if keep:
-                self.adj[v] = keep
+            if adj[v]:
+                roots.append(v)
             else:
-                del self.adj[v]
-        # re-register the remaining pieces of this component
-        seen: set[int] = set()
-        for v in comp:
-            if v not in seen and v in self.adj:
-                self._register(self._bfs(v, seen))
+                del adj[v]
+                owner[v] = -1
+        if not roots:
+            del self.comps[cid]
+        else:
+            size -= len(chosen) - len(roots)
+            for piece in self._split(roots):
+                size -= len(piece)
+                piece.sort()
+                self._register(piece)
+            while owner[verts[lo]] != cid:
+                lo += 1
+            rec[1] = lo
+            rec[2] = size
+            self._push(cid)
         return sorted(chosen), sorted(edges)
+
+    def _split(self, roots: list[int]) -> list[list[int]]:
+        """Explore the residual pieces at `roots` in lockstep until at most one
+        is unfinished; return the vertex lists of all pieces but one."""
+        if len(roots) == 1:
+            return []
+        adj = self.adj
+        pieces = [[r] for r in roots]
+        stacks = [[(r, -1, iter(adj[r]))] for r in roots]
+        active = list(range(len(roots)))
+        finished: list[int] = []
+        while len(active) > 1:
+            unfinished = []
+            for p in active:
+                stack = stacks[p]
+                while stack:
+                    v, par, it = stack[-1]
+                    for w in it:
+                        if w != par:
+                            break
+                    else:
+                        stack.pop()
+                        continue
+                    pieces[p].append(w)
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                (unfinished if stack else finished).append(p)
+            active = unfinished
+        self.explored += sum(map(len, pieces))
+        if not active:
+            finished.pop()  # all finished at once: the last keeps the old record
+        return [pieces[p] for p in finished]
 
 
 def _extract_step(pool: _ForestPool, k: int) -> tuple[list[int], list[Edge]]:
@@ -404,10 +463,11 @@ def _clique_cover_loop(
     k: int,
     occupied: set[Edge],
     additions: list[Edge],
-) -> list[int]:
+) -> tuple[list[int], int]:
     """Cover a forest's edges by k-cliques, extending `occupied` and `additions`.
 
-    Returns the number of forest edges covered at each iteration.
+    Returns the number of forest edges covered at each iteration and the
+    number of vertices the forest pool explored.
     """
     pool = _ForestPool(n, forest_edges, k)
     covered: list[int] = []
@@ -420,13 +480,14 @@ def _clique_cover_loop(
                 occupied.add((a, b))
                 additions.append((a, b))
         covered.append(len(edges))
-    return covered
+    return covered, pool.explored
 
 
 @dataclass(frozen=True)
 class CliqueCoverTrace:
     completion: CompletionSet
     covered_per_iteration: tuple[int, ...]
+    explored: int  # vertices visited by the forest pool's component searches
 
 
 def approx_tree_k_trace(t: RootedTree, k: int) -> CliqueCoverTrace:
@@ -438,8 +499,8 @@ def approx_tree_k_trace(t: RootedTree, k: int) -> CliqueCoverTrace:
         raise InputError(f"tree has {g.n} vertices, needs at least k={k}")
     occupied = set(g.edges)
     additions: list[Edge] = []
-    covered = _clique_cover_loop(g.n, g.edges, k, occupied, additions)
-    return CliqueCoverTrace(CompletionSet(additions), tuple(covered))
+    covered, explored = _clique_cover_loop(g.n, g.edges, k, occupied, additions)
+    return CliqueCoverTrace(CompletionSet(additions), tuple(covered), explored)
 
 
 def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
@@ -449,6 +510,7 @@ def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
 
 
 def _residual_components(adj: dict[int, set[int]]) -> list[list[int]]:
+    """Sorted vertex lists of the connected components of an adjacency map."""
     seen: set[int] = set()
     comps = []
     for start in adj:

@@ -148,6 +148,26 @@ def test_reduce_three_partition(tmp_path, capsys, quiet_env):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "construction, text",
+    [
+        ("setcover", '{"universe": 2, "sets": 5}'),
+        ("setcover", '{"universe": "2", "sets": [[0, 1]]}'),
+        ("3partition", '{"s": 9, "values": ["a", 3, 3]}'),
+    ],
+)
+def test_reduce_rejects_mistyped_json(tmp_path, capsys, quiet_env, construction, text):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(text)
+    out_graph, out_roles = tmp_path / "red.txt", tmp_path / "red.roles.json"
+    argv = ["reduce", construction, "--in", str(inst_path), "--out-graph", str(out_graph)]
+    if construction == "setcover":
+        argv += ["--k", "3", "--out-roles", str(out_roles)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_graph.exists()
+
+
 def test_goodify_cli(tmp_path, capsys, quiet_env):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(format_setcover_json(FIG))

@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcover import (
     CoverSpec,
@@ -235,6 +237,35 @@ def test_approx_tree_k_properties_random():
             assert sum(covered) == n - 1
             # every non-final iteration removes at least floor(k/2) tree edges
             assert all(c >= k // 2 for c in covered[:-1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.integers(5, 9), data=st.data())
+def test_approx_tree_k_property(k, data):
+    n = data.draw(st.integers(k, 300), label="n")
+    g = gen_random_tree(n, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    trace = approx_tree_k_trace(rooted(g), k)
+    assert validate_completion(g, trace.completion, CoverSpec(k, 1)).ok
+    assert validate_completion(g, trace.completion, CoverSpec(3, k - 2)).ok
+    assert sum(trace.covered_per_iteration) == n - 1
+    lower = (n - 1) * (k - 2) / 2
+    assert math.ceil(lower) <= len(trace.completion) <= (8 / 3) * lower
+
+
+def test_approx_tree_k_explores_n_log_n_vertices():
+    # A deterministic stand-in for a doubling-time test: the forest pool
+    # counts the vertices its component searches visit.  Re-searching the
+    # whole remaining component after every cut would visit about
+    # n^2 / (2(k-1)) vertices on the path.
+    for g in (
+        path_graph(10_000),
+        spider_graph([100] * 100),
+        star_graph(10_001),
+        gen_random_tree(10_000, 1),
+    ):
+        n = g.n
+        explored = approx_tree_k_trace(rooted(g), 5).explored
+        assert explored <= n * (2 * math.ceil(math.log2(n)) + 1)
 
 
 def test_approx_tree_k_even_k_addition_bound():
