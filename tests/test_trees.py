@@ -5,8 +5,6 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kcover import (
     CoverSpec,
@@ -237,19 +235,6 @@ def test_approx_tree_k_properties_random():
             assert sum(covered) == n - 1
             # every non-final iteration removes at least floor(k/2) tree edges
             assert all(c >= k // 2 for c in covered[:-1])
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(k=st.integers(5, 9), data=st.data())
-def test_approx_tree_k_property(k, data):
-    n = data.draw(st.integers(k, 300), label="n")
-    g = gen_random_tree(n, data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    trace = approx_tree_k_trace(rooted(g), k)
-    assert validate_completion(g, trace.completion, CoverSpec(k, 1)).ok
-    assert validate_completion(g, trace.completion, CoverSpec(3, k - 2)).ok
-    assert sum(trace.covered_per_iteration) == n - 1
-    lower = (n - 1) * (k - 2) / 2
-    assert math.ceil(lower) <= len(trace.completion) <= (8 / 3) * lower
 
 
 def test_approx_tree_k_explores_n_log_n_vertices():
