@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import math
 import os
@@ -121,6 +122,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     completion = io.read_completion(args.completion)
     spec = CoverSpec(args.k, args.l)
     result = validate_completion(g, completion, spec)
+    log.info(
+        "checked n=%d m=%d additions=%d at k=%d l=%d: violations=%d connected=%s",
+        g.n, g.m, len(completion), spec.k, spec.l,
+        len(result.violations), result.connected,
+    )
     if result.ok:
         print(f"OK: every edge lies in >= {spec.l} cliques of order {spec.k}")
         return EXIT_OK
@@ -238,7 +244,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The kcover parser, built on first use and shared by every later call."""
     parser = _Parser(prog="kcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -197,8 +198,32 @@ def triangle_vertices(g: Graph, e: tuple[int, int]) -> list[int]:
     u, v = norm_edge(*e)
     if (u, v) not in g.edges:
         raise InputError(f"({u},{v}) is not an edge")
-    a, b = (u, v) if len(g.adj[u]) <= len(g.adj[v]) else (v, u)
-    return [w for w in g.adj[a] if w != b and norm_edge(w, b) in g.edges]
+    return sorted(set(g.adj[u]).intersection(g.adj[v]))
+
+
+def _count_cliques(
+    nbr: Sequence[set[int]] | Mapping[int, set[int]],
+    cands: Collection[int],
+    need: int,
+    cap: int,
+) -> int:
+    """Number of need-cliques among cands, counted up to cap.
+
+    nbr[w] is the neighbour set of each candidate w.  The candidates of an
+    edge's k-cliques are its endpoints' common neighbours, and need is k - 2.
+    """
+    if need == 1:
+        return min(len(cands), cap)
+    order = sorted(cands)
+    count = 0
+    for i in range(len(order) - need + 1):
+        near = nbr[order[i]]
+        ext = [x for x in order[i + 1 :] if x in near]
+        if len(ext) >= need - 1:
+            count += _count_cliques(nbr, ext, need - 1, cap - count)
+            if count >= cap:
+                return cap
+    return count
 
 
 def count_k_cliques_on_edge(g: Graph, e: tuple[int, int], k: int, cap: int) -> int:
@@ -212,54 +237,87 @@ def count_k_cliques_on_edge(g: Graph, e: tuple[int, int], k: int, cap: int) -> i
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
     common = triangle_vertices(g, e)
-    need = k - 2
+    nbr = {w: set(g.adj[w]) for w in common} if k > 3 else {}
+    return _count_cliques(nbr, common, k - 2, cap)
+
+
+def _unsaturated(nbr: Sequence[set[int]], edges: Iterable[Edge], spec: CoverSpec) -> list[Edge]:
+    """The edges lying in fewer than spec.l cliques of order spec.k, sorted.
+
+    nbr[v] is v's neighbour set in the graph that holds the edges.
+    """
+    need, cap = spec.k - 2, spec.l
     if need == 1:
-        return min(len(common), cap)
-    edges = g.edges
-    count = 0
-
-    def grow(cands: list[int], need: int) -> bool:
-        nonlocal count
-        if need == 1:
-            count += len(cands)
-            return count >= cap
-        for i, w in enumerate(cands):
-            if len(cands) - i < need:
-                return False
-            ext = [x for x in cands[i + 1 :] if (w, x) in edges]
-            if len(ext) >= need - 1 and grow(ext, need - 1):
-                return True
-        return False
-
-    grow(common, need)
-    return min(count, cap)
+        out = [(u, v) for u, v in edges if len(nbr[u] & nbr[v]) < cap]
+    else:
+        out = [
+            (u, v) for u, v in edges if _count_cliques(nbr, nbr[u] & nbr[v], need, cap) < cap
+        ]
+    out.sort()
+    return out
 
 
 def unsaturated_edges(g: Graph, spec: CoverSpec) -> list[Edge]:
     """Edges lying in fewer than spec.l cliques of order spec.k, in lexicographic order."""
-    return [
-        e
-        for e in sorted(g.edges)
-        if count_k_cliques_on_edge(g, e, spec.k, spec.l) < spec.l
-    ]
+    return _unsaturated([set(a) for a in g.adj], g.edges, spec)
 
 
 def apply_completion(g: Graph, c: CompletionSet) -> Graph:
     """Add every pair of c to g.  Pairs must be non-edges; duplicates are rejected."""
     for e in c:
-        if e[0] < 0 or e[1] >= g.n:
-            raise InputError(f"addition {e} out of range for n={g.n}")
-        if e in g.edges:
-            raise InputError(f"addition {e} is already an edge")
+        _check_addition(g, e)
     return Graph(g.n, list(g.edges) + list(c))
 
 
+def _check_addition(g: Graph, e: Edge) -> None:
+    if e[0] < 0 or e[1] >= g.n:
+        raise InputError(f"addition {e} out of range for n={g.n}")
+    if e in g.edges:
+        raise InputError(f"addition {e} is already an edge")
+
+
 def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverCheck:
-    """Check that g plus c has a (k,l)-cover and is connected."""
-    completed = apply_completion(g, c)
-    violations = tuple(unsaturated_edges(completed, spec))
-    connected = completed.is_connected()
+    """Check that g plus c has a (k,l)-cover and is connected.
+
+    The completed graph is never built: every edge of g + c is scanned once
+    against neighbour sets that hold g's edges and c's pairs, and the
+    components of g are merged through c's pairs.
+    """
+    nbr = [set(a) for a in g.adj]
+    for e in c:
+        _check_addition(g, e)
+        u, v = e
+        nbr[u].add(v)
+        nbr[v].add(u)
+    violations = tuple(_unsaturated(nbr, chain(g.edges, c), spec))
+    connected = _joined(g.components(), c, g.n)
     return CoverCheck(ok=not violations and connected, violations=violations, connected=connected)
+
+
+def _joined(comps: list[list[int]], pairs: Iterable[Edge], n: int) -> bool:
+    """Whether the pairs join the components into one (union-find over them)."""
+    parts = len(comps)
+    if parts <= 1:
+        return True
+    comp_of = [0] * n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    root = list(range(parts))
+    for u, v in pairs:
+        a, b = comp_of[u], comp_of[v]
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            parts -= 1
+            if parts == 1:
+                return True
+    return False
 
 
 def find_bridges(g: Graph) -> list[Edge]:

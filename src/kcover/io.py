@@ -38,6 +38,12 @@ def _parse_pair(line: str, no: int) -> tuple[int, int]:
         raise InputError(f"line {no}: expected two integers, got {line!r}") from None
 
 
+# The largest vertex count an edge list may declare.  A graph allocates its
+# adjacency for every vertex before it reads an edge, so the header is checked
+# against this cap first.
+MAX_VERTICES = 10_000_000
+
+
 def parse_edge_list(text: str) -> Graph:
     """Graph from "n m" followed by m "u v" lines; '#' starts a comment."""
     lines = _data_lines(text)
@@ -45,6 +51,10 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError("empty edge list: missing the 'n m' header line")
     no, head = lines[0]
     n, m = _parse_pair(head, no)
+    if n > MAX_VERTICES:
+        raise InputError(
+            f"line {no}: header declares n={n} vertices; at most {MAX_VERTICES} are supported"
+        )
     if len(lines) - 1 != m:
         raise InputError(
             f"header announces {m} edges but the file has {len(lines) - 1}"

@@ -12,6 +12,7 @@ from itertools import combinations
 
 from kcover import (
     CompletionSet,
+    CoverCheck,
     CoverSpec,
     Graph,
     LabeledReductionGraph,
@@ -59,6 +60,48 @@ def naive_min_completion(g: Graph, spec: CoverSpec) -> CompletionSet:
             if validate_completion(g, c, spec).ok:
                 return c
     raise AssertionError("no completion exists even after filling every non-edge")
+
+
+def slow_validate(g: Graph, pairs, k: int, l: int) -> CoverCheck:
+    """validate_completion from first principles, for valid additions only.
+
+    G + C is a set of pairs; an edge's k-cliques are the (k-2)-subsets of its
+    endpoints' common neighbours (a scan of one endpoint's incident pairs) whose
+    pairs are all edges.  Connectivity is a flood fill that rescans every edge
+    until nothing new is reached.  Of kcover it reads only g.n and g.edges, and
+    builds the CoverCheck record.
+    """
+    edges = set(g.edges) | {(min(u, v), max(u, v)) for u, v in pairs}
+    linked = edges | {(v, u) for u, v in edges}
+    touching: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    for u, v in edges:
+        touching[u].append(v)
+        touching[v].append(u)
+    violations = []
+    for u, v in sorted(edges):
+        common = [w for w in touching[u] if (v, w) in linked]
+        cliques = sum(
+            1
+            for rest in combinations(common, k - 2)
+            if all(pair in linked for pair in combinations(rest, 2))
+        )
+        if cliques < l:
+            violations.append((u, v))
+    reached = {0} if g.n else set()
+    grew = True
+    while grew:
+        before = len(reached)
+        reached |= {b for a, b in linked if a in reached}
+        grew = len(reached) > before
+    connected = len(reached) == g.n
+    return CoverCheck(
+        ok=not violations and connected, violations=tuple(violations), connected=connected
+    )
+
+
+def refuse_graph(n, edges):
+    """Stands in for Graph where a test must fail rather than allocate n vertices."""
+    raise AssertionError(f"Graph({n}, ...) was built for an over-large header")
 
 
 def brute_bridges(g: Graph) -> list[tuple[int, int]]:

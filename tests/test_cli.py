@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -7,7 +8,8 @@ from kcover import (
     build_setcover_k3,
     completion_from_cover,
 )
-from kcover.cli import main
+from kcover import io
+from kcover.cli import _build_parser, main
 from kcover.io import (
     format_edge_list,
     format_setcover_json,
@@ -20,7 +22,7 @@ from kcover.io import (
     write_graph,
 )
 
-from helpers import cycle_graph, path_graph, star_graph
+from helpers import cycle_graph, path_graph, refuse_graph, star_graph
 
 FIG = SetCoverInstance(3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})])
 
@@ -62,6 +64,67 @@ def test_check_reports_each_unsaturated_edge(tmp_path, capsys, quiet_env):
     assert main(["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)]) == 2
     out = capsys.readouterr().out
     assert "unsaturated 0 1" in out and "unsaturated 1 2" in out
+
+
+def _write_failing_check(tmp_path):
+    """A graph and completion whose check fails on five edges and on connectivity.
+
+    Vertices 7 and 9 are isolated in the graph, and (10, 11) sorts after
+    (7, 8) as a pair of numbers but before it as text."""
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text(
+        "13 9\n0 1\n1 2\n2 10\n10 11\n11 12\n3 4\n4 5\n3 5\n5 6\n"
+    )
+    cpath.write_text("# additions=2\n7 8\n0 2\n")
+    return ["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)]
+
+
+def test_check_failure_output_is_golden(tmp_path, capsys, quiet_env):
+    assert main(_write_failing_check(tmp_path)) == 2
+    assert capsys.readouterr().out == (
+        "completed graph is disconnected\n"
+        "unsaturated 2 10\n"
+        "unsaturated 5 6\n"
+        "unsaturated 7 8\n"
+        "unsaturated 10 11\n"
+        "unsaturated 11 12\n"
+    )
+
+
+def test_check_logs_its_verdict_at_info(tmp_path, capsys, caplog, monkeypatch):
+    monkeypatch.setenv("COVER_LOG", "info")
+    caplog.set_level(logging.INFO, logger="kcover")
+    assert main(_write_failing_check(tmp_path)) == 2
+    capsys.readouterr()
+    assert [r.getMessage() for r in caplog.records if r.name == "kcover"] == [
+        "checked n=13 m=9 additions=2 at k=3 l=1: violations=5 connected=False"
+    ]
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys, quiet_env):
+    assert _build_parser() is _build_parser()
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    write_graph(gpath, path_graph(4))
+    solve = ["solve", "--alg", "brute", "--k", "3", "--l", "2", "--in", str(gpath), "--out", str(cpath)]
+    check = ["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)]
+    assert main(solve) == 0
+    assert main(check) == 0
+    # check's --l defaults to 1; the solve's --l 2 must not carry over
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "OK: every edge lies in >= 1 cliques of order 3"
+    )
+    args = _build_parser().parse_args(check)
+    assert args.l == 1 and not hasattr(args, "alg") and not hasattr(args, "infile")
+
+
+def test_check_rejects_an_over_large_vertex_count(tmp_path, capsys, quiet_env, monkeypatch):
+    monkeypatch.setattr(io, "Graph", refuse_graph)
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text("1000000000000 0\n")
+    cpath.write_text("# additions=0\n")
+    code = main(["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 1: header declares n=1000000000000")
 
 
 def test_solve_brute(tmp_path, capsys, quiet_env):

@@ -9,7 +9,9 @@ from kcover import (
     build_setcover_k3,
     gen_random_chordal,
 )
+from kcover import io
 from kcover.io import (
+    MAX_VERTICES,
     format_completion,
     format_edge_list,
     format_role_map,
@@ -28,7 +30,7 @@ from kcover.io import (
     write_reduction,
 )
 
-from helpers import path_graph
+from helpers import path_graph, refuse_graph
 
 FIG = SetCoverInstance(3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})])
 
@@ -66,6 +68,17 @@ def test_edge_list_parse_errors():
         parse_edge_list("3 1\n0 3\n")  # endpoint out of range
     with pytest.raises(InputError):
         parse_edge_list("3 2\n0 1\n0 1\n")  # duplicate edge
+
+
+def test_edge_list_vertex_count_is_bounded_before_allocation(monkeypatch):
+    monkeypatch.setattr(io, "Graph", refuse_graph)
+    with pytest.raises(InputError, match=f"header declares n={MAX_VERTICES + 1} vertices"):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
+    with pytest.raises(InputError, match=f"at most {MAX_VERTICES} are supported"):
+        parse_edge_list("1000000000000 0\n")
+    # the cap itself is allowed; record n instead of building the graph
+    monkeypatch.setattr(io, "Graph", lambda n, edges: n)
+    assert parse_edge_list(f"{MAX_VERTICES} 0\n") == MAX_VERTICES
 
 
 def test_completion_round_trip():

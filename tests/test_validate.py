@@ -1,0 +1,97 @@
+"""validate_completion against the independent slow checker in helpers.py."""
+
+import random
+
+import pytest
+
+from kcover import (
+    CompletionSet,
+    CoverSpec,
+    Graph,
+    InputError,
+    approx_tree_4,
+    approx_tree_k,
+    build_setcover_k,
+    build_setcover_k3,
+    completion_from_cover,
+    gen_random_chordal,
+    gen_random_setcover,
+    gen_random_tree,
+    optimal_chordal_31,
+    optimal_tree_31,
+    validate_completion,
+)
+
+from helpers import nonedges, rooted, slow_validate
+
+ORDERS = (3, 4, 5, 6)
+MULTIPLICITIES = (1, 2, 3)
+
+
+def _disjoint(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+def _instances():
+    """(graph, completions that some solver or gadget says are valid)."""
+    for n in (1, 2, 5, 8, 11):
+        for seed in range(3):
+            g = gen_random_tree(n, seed)
+            solved = []
+            if n >= 4:
+                t = rooted(g)
+                solved = [optimal_tree_31(t), approx_tree_4(t)]
+                solved += [approx_tree_k(t, k) for k in (5, 6) if n >= k]
+            yield g, solved
+    for n, width in ((6, 2), (8, 3), (10, 4)):
+        for seed in range(2):
+            g = gen_random_chordal(n, width, seed)
+            yield g, [optimal_chordal_31(g)]
+    for seed in range(2):
+        inst = gen_random_setcover(2 + seed, 2 + seed, 0.5, seed)
+        for k in ORDERS:
+            rg = build_setcover_k3(inst) if k == 3 else build_setcover_k(inst, k)
+            yield rg.graph, [completion_from_cover(rg, range(rg.set_count))]
+    for seed in range(3):
+        yield _disjoint(gen_random_tree(4, seed), gen_random_tree(5, seed + 10)), []
+        tree = gen_random_tree(9, seed)
+        yield tree.without_edges([tree.edge_list()[seed]]), []
+    yield Graph(0), []
+    yield Graph(3), []
+
+
+def _completions(g: Graph, solved: list[CompletionSet], rng: random.Random):
+    free = nonedges(g)
+    yield CompletionSet()
+    for c in solved:
+        yield c
+        pairs = list(c)
+        if pairs:
+            del pairs[rng.randrange(len(pairs))]
+            yield CompletionSet(pairs)
+    for _ in range(2):
+        yield CompletionSet(rng.sample(free, rng.randint(0, min(len(free), 2 * g.n))))
+    if g.n <= 10:
+        yield CompletionSet(free)
+
+
+def test_validate_completion_matches_slow_checker():
+    rng = random.Random(2025)
+    seen = {"ok": 0, "failing": 0, "disconnected": 0}
+    for g, solved in _instances():
+        for c in _completions(g, solved, rng):
+            for k in ORDERS:
+                for l in MULTIPLICITIES:
+                    want = slow_validate(g, c, k, l)
+                    assert validate_completion(g, c, CoverSpec(k, l)) == want, (g, c, k, l)
+                    seen["ok" if want.ok else "failing"] += 1
+                    seen["disconnected"] += not want.connected
+    assert min(seen.values()) >= 100, seen
+
+
+def test_validate_completion_rejects_bad_additions():
+    g = Graph(4, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match=r"^addition \(2, 4\) out of range for n=4$"):
+        validate_completion(g, CompletionSet([(0, 2), (2, 4)]), CoverSpec(3, 1))
+    with pytest.raises(InputError, match=r"^addition \(1, 2\) is already an edge$"):
+        validate_completion(g, CompletionSet([(0, 3), (2, 1)]), CoverSpec(3, 1))
