@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import CompletionSet, Edge, Graph, check_chordal, find_bridges, norm_edge
-from .trees import RootedTree, optimal_tree_31
+from .graph import CompletionSet, Edge, Graph, check_chordal, components, find_bridges, norm_edge
+from .trees import RootedTree, bridge_chord, optimal_tree_31
 
 
 @dataclass(frozen=True)
@@ -43,37 +43,15 @@ def decompose_trees(g: Graph) -> ChordalDecomposition:
         raise InputError(f"decomposition needs at least 3 vertices, got {g.n}")
     if not g.is_connected():
         raise InputError("decomposition needs a connected graph")
-    bridges = set(find_bridges(g))
+    bridges = find_bridges(g)
     adj: dict[int, list[int]] = {}
     for u, v in bridges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    trees: list[tuple[int, ...]] = []
-    tree_edges: list[tuple[Edge, ...]] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comp.sort()
-        trees.append(tuple(comp))
-    tree_of: dict[int, int] = {}
-    for idx, comp in enumerate(trees):
-        for v in comp:
-            tree_of[v] = idx
-    grouped: list[list[Edge]] = [[] for _ in trees]
-    for e in sorted(bridges):
-        grouped[tree_of[e[0]]].append(e)
-    tree_edges = [tuple(group) for group in grouped]
+    trees = tuple(tuple(comp) for comp in components(adj, sorted(adj)))
+    tree_edges = tuple(
+        tuple(sorted((v, w) for v in comp for w in adj[v] if v < w)) for comp in trees
+    )
     in_tree = set(adj)
     boundary = frozenset(
         v for v in in_tree if len(g.adj[v]) > len(adj[v])
@@ -81,8 +59,8 @@ def decompose_trees(g: Graph) -> ChordalDecomposition:
     interior = frozenset(in_tree - boundary)
     outer = frozenset(range(g.n)) - in_tree
     return ChordalDecomposition(
-        trees=tuple(trees),
-        tree_edges=tuple(tree_edges),
+        trees=trees,
+        tree_edges=tree_edges,
         boundary=boundary,
         interior=interior,
         outer=frozenset(outer),
@@ -100,17 +78,13 @@ def optimal_chordal_31(g: Graph, allow_nonchordal: bool = False) -> CompletionSe
     as a heuristic; the result then still saturates every bridge but carries
     no optimality guarantee.
     """
-    if g.n < 3:
-        raise InputError("triangle completion needs at least 3 vertices")
-    if not g.is_connected():
-        raise InputError("graph must be connected")
+    dec = decompose_trees(g)
     chordality = check_chordal(g)
     if not chordality.is_chordal and not allow_nonchordal:
         raise InputError(
             f"graph is not chordal (later neighbors of vertex "
             f"{chordality.certificate} are not a clique)"
         )
-    dec = decompose_trees(g)
     additions: list[Edge] = []
     added: set[Edge] = set()
     for verts, tedges in zip(dec.trees, dec.tree_edges):
@@ -123,29 +97,9 @@ def optimal_chordal_31(g: Graph, allow_nonchordal: bool = False) -> CompletionSe
                 added.add(e)
         else:
             a, b = verts
-            if a in dec.boundary and b in dec.boundary:
-                u, v = a, b
-            elif a in dec.boundary:
-                u, v = a, b
-            elif b in dec.boundary:
-                u, v = b, a
-            else:
-                raise AssertionError("a lone bridge in a connected n>=3 graph has a boundary endpoint")
-            chord = None
-            for base, far in ((u, v), (v, u)):
-                for x in g.adj[base]:
-                    if x == far:
-                        continue
-                    e = norm_edge(far, x)
-                    if e in g.edges:
-                        raise AssertionError("bridge endpoint neighbor already closes a triangle")
-                    if e not in added:
-                        chord = e
-                        break
-                if chord is not None:
-                    break
-            if chord is None:
-                raise AssertionError("no chord available for a lone bridge")
+            if a not in dec.boundary:
+                a, b = b, a
+            chord = bridge_chord(g, a, b, added)
             additions.append(chord)
             added.add(chord)
     return CompletionSet(additions)

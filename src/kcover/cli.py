@@ -74,31 +74,36 @@ def _setup_logging() -> None:
     )
 
 
-def _solver_spec(args: argparse.Namespace) -> CoverSpec:
-    if args.alg == "tree-approx":
-        if args.k is None:
-            raise InputError("tree-approx needs --k")
-        return CoverSpec(args.k, 1)
-    if args.alg == "tree-approx4":
-        return CoverSpec(4, 1)
-    if args.alg == "brute":
-        return CoverSpec(args.k if args.k is not None else 3, args.l)
-    return CoverSpec(3, 1)
+# name -> (the k it solves at, or None when --k sets it; solver on graph and k).
+# The lambdas look each solver up by name when called, so a function swapped
+# into this module's namespace (as the benchmark's tracer does) is the one run.
+SOLVERS = {
+    "tree-opt": (3, lambda g, k: optimal_tree_31(RootedTree.from_graph(g))),
+    "chordal-opt": (3, lambda g, k: optimal_chordal_31(g)),
+    "tree-approx": (None, lambda g, k: approx_tree_k(RootedTree.from_graph(g), k)),
+    "tree-approx4": (4, lambda g, k: approx_tree_4(RootedTree.from_graph(g))),
+}
+
+
+def _solver_k(alg: str, k: int | None, l: int) -> int:
+    """The k a SOLVERS entry runs at; a --k or --l it would ignore is refused."""
+    fixed = SOLVERS[alg][0]
+    if fixed is None and k is None:
+        raise InputError(f"{alg} needs --k")
+    if fixed is not None and k not in (None, fixed):
+        raise InputError(f"{alg} solves k={fixed}, got --k {k}")
+    if l != 1:
+        raise InputError(f"{alg} solves l=1, got --l {l}")
+    return k if fixed is None else fixed
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = io.read_graph(args.infile)
-    spec = _solver_spec(args)
     started = time.perf_counter()
-    if args.alg == "tree-opt":
-        completion = optimal_tree_31(RootedTree.from_graph(g))
-    elif args.alg == "chordal-opt":
-        completion = optimal_chordal_31(g)
-    elif args.alg == "tree-approx":
-        completion = approx_tree_k(RootedTree.from_graph(g), spec.k)
-    elif args.alg == "tree-approx4":
-        completion = approx_tree_4(RootedTree.from_graph(g))
+    if args.alg != "brute":
+        completion = SOLVERS[args.alg][1](g, _solver_k(args.alg, args.k, args.l))
     else:
+        spec = CoverSpec(args.k if args.k is not None else 3, args.l)
         budget = OracleBudget(max_additions=args.max_additions, max_nodes=args.max_nodes)
         result = brute_min_completion(g, spec, budget)
         log.info("brute search visited %d nodes", result.nodes)
@@ -189,32 +194,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BENCH_ALGS = ("tree-opt", "chordal-opt", "tree-approx", "tree-approx4")
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.alg == "tree-approx":
-        if args.k is None:
-            raise InputError("tree-approx needs --k")
-        k = args.k
-    elif args.alg == "tree-approx4":
-        k = 4
-    else:
-        k = 3
+    k = _solver_k(args.alg, args.k, 1)
+    solve = SOLVERS[args.alg][1]
     n = args.n
     lower_bound = math.ceil((n - 1) * (k - 2) / 2)
     rows = []
     for trial in range(args.trials):
         g = gen_random_tree(n, args.seed + trial)
         started = time.perf_counter()
-        if args.alg == "tree-opt":
-            size = len(optimal_tree_31(RootedTree.from_graph(g)))
-        elif args.alg == "chordal-opt":
-            size = len(optimal_chordal_31(g))
-        elif args.alg == "tree-approx":
-            size = len(approx_tree_k(RootedTree.from_graph(g), k))
-        else:
-            size = len(approx_tree_4(RootedTree.from_graph(g)))
+        size = len(solve(g, k))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         rows.append(
             {
@@ -251,11 +240,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="compute a completion set")
-    p_solve.add_argument(
-        "--alg",
-        required=True,
-        choices=["tree-opt", "chordal-opt", "tree-approx", "tree-approx4", "brute"],
-    )
+    p_solve.add_argument("--alg", required=True, choices=[*SOLVERS, "brute"])
     p_solve.add_argument("--in", dest="infile", required=True)
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--k", type=int, default=None)
@@ -306,7 +291,7 @@ def _build_parser() -> _Parser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bench = sub.add_parser("bench", help="run seeded trials, write a CSV")
-    p_bench.add_argument("--alg", required=True, choices=list(_BENCH_ALGS))
+    p_bench.add_argument("--alg", required=True, choices=list(SOLVERS))
     p_bench.add_argument("--n", type=int, required=True)
     p_bench.add_argument("--trials", type=int, required=True)
     p_bench.add_argument("--k", type=int, default=None)

@@ -6,7 +6,6 @@ with u < v.  Graphs are immutable; edits return new graphs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -90,23 +89,7 @@ class Graph:
         return Graph(len(old_ids), sub_edges), old_ids
 
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return components(self.adj, range(self.n))
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -123,6 +106,27 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def components(
+    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], starts: Iterable[int]
+) -> list[list[int]]:
+    """Sorted vertex lists of the components that hold the starts, in the
+    order of their first start.  adj[v] lists v's neighbours."""
+    seen: set[int] = set()
+    comps = []
+    for start in starts:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for v in comp:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(sorted(comp))
+    return comps
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,11 @@ def parse_role_map(text: str) -> tuple[int, tuple[Role, ...]]:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "k" not in data or "roles" not in data:
         raise InputError('expected an object with "k" and "roles"')
-    raw = data["roles"]
+    k, raw = data["k"], data["roles"]
+    if not _is_int(k):
+        raise InputError(f"'k' must be an integer, got {k!r}")
+    if not isinstance(raw, dict):
+        raise InputError("'roles' must be an object")
     roles: list[Role | None] = [None] * len(raw)
     for key, entry in raw.items():
         try:
@@ -180,8 +184,11 @@ def parse_role_map(text: str) -> tuple[int, tuple[Role, ...]]:
             raise InputError(f"vertex {v} listed twice")
         if not isinstance(entry, dict) or "kind" not in entry:
             raise InputError(f"vertex {v}: expected an object with a 'kind'")
-        roles[v] = Role(kind=entry["kind"], index=entry.get("index"))
-    return data["k"], tuple(roles)
+        index = entry.get("index")
+        if index is not None and not _is_int(index):
+            raise InputError(f"vertex {v}: 'index' must be an integer or null, got {index!r}")
+        roles[v] = Role(kind=entry["kind"], index=index)
+    return k, tuple(roles)
 
 
 def format_role_map(rg: LabeledReductionGraph) -> str:

@@ -20,11 +20,10 @@ class InconclusiveError(Exception):
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Caps on the exact search, plus the seed handed to instance generators."""
+    """Caps on the exact search."""
 
     max_additions: int = 8
     max_nodes: int = 10_000_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_additions < 1:

@@ -19,10 +19,9 @@ from .graph import (
     CoverSpec,
     Edge,
     Graph,
-    apply_completion,
-    count_k_cliques_on_edge,
+    _check_addition,
+    _count_cliques,
     norm_edge,
-    triangle_vertices,
     validate_completion,
 )
 from .trees import spider_graph
@@ -94,6 +93,8 @@ class Role:
     def __post_init__(self) -> None:
         if self.kind not in ROLE_KINDS:
             raise InputError(f"unknown role kind {self.kind!r}")
+        if self.index is None and self.kind not in ("aux", "common"):
+            raise InputError(f"a {self.kind!r} role needs an index")
 
 
 @dataclass(frozen=True)
@@ -200,14 +201,7 @@ def build_setcover_k3(inst: SetCoverInstance) -> LabeledReductionGraph:
     for ids in item_ids:
         for v in ids:
             edges.append(norm_edge(v, common))
-    return LabeledReductionGraph(
-        graph=Graph(nxt, edges),
-        roles=tuple(roles),
-        k=3,
-        set_ids=tuple((j,) for j in range(nf)),
-        item_ids=tuple(item_ids),
-        common=common,
-    )
+    return LabeledReductionGraph.from_roles(Graph(nxt, edges), roles, 3)
 
 
 def build_setcover_k(inst: SetCoverInstance, k: int) -> LabeledReductionGraph:
@@ -269,14 +263,7 @@ def build_setcover_k(inst: SetCoverInstance, k: int) -> LabeledReductionGraph:
         e = norm_edge(set_ids[j][0], common)
         edges.append(e)
         wrap(e)
-    return LabeledReductionGraph(
-        graph=Graph(nxt, edges),
-        roles=tuple(roles),
-        k=k,
-        set_ids=tuple(set_ids),
-        item_ids=tuple(item_ids),
-        common=common,
-    )
+    return LabeledReductionGraph.from_roles(Graph(nxt, edges), roles, k)
 
 
 def unsaturated_item_targets(rg: LabeledReductionGraph) -> list[Edge]:
@@ -289,41 +276,60 @@ def unsaturated_item_targets(rg: LabeledReductionGraph) -> list[Edge]:
     return sorted(norm_edge(*pair) for pair in rg.item_ids)
 
 
-def _is_saturated(g: Graph, e: Edge, k: int) -> bool:
-    return count_k_cliques_on_edge(g, e, k, 1) >= 1
+class _AnchorPurchase:
+    """The anchor edges a goodify rewrite buys, in order, for a valid completion.
+
+    nbr holds the neighbour sets of the reduction graph plus the bought edges,
+    so an edge's saturation is probed without building a graph.
+    """
+
+    def __init__(self, rg: LabeledReductionGraph, c: CompletionSet, k: int):
+        if not validate_completion(rg.graph, c, CoverSpec(k, 1)).ok:
+            raise InputError("input is not a valid completion of the reduction graph")
+        self.rg = rg
+        self.k = k
+        self.nbr = [set(a) for a in rg.graph.adj]
+        self.out: list[Edge] = []
+
+    def buy(self, j: int) -> None:
+        e = self.rg.anchor_edge(j)
+        _check_addition(self.rg.graph, e)
+        u, v = e
+        if v not in self.nbr[u]:
+            self.nbr[u].add(v)
+            self.nbr[v].add(u)
+            self.out.append(e)
+
+    def buy_anchors_in(self, c: CompletionSet) -> None:
+        anchors = self.rg.anchor_edges()
+        for e in c:
+            if e in anchors:
+                self.buy(anchors[e])
+
+    def saturated(self, e: Edge) -> bool:
+        """Whether edge e of the graph plus the bought edges lies in a k-clique."""
+        u, v = e
+        nbr = self.nbr
+        if v not in nbr[u]:
+            raise InputError(f"({u},{v}) is not an edge")
+        return _count_cliques(nbr, nbr[u] & nbr[v], self.k - 2, 1) >= 1
 
 
 def goodify_3(rg: LabeledReductionGraph, c: CompletionSet) -> CompletionSet:
     """Rewrite a valid triangle completion into anchor edges only, no larger."""
     if rg.k != 3:
         raise InputError("this rewrite applies to the k=3 construction")
-    if not validate_completion(rg.graph, c, CoverSpec(3, 1)).ok:
-        raise InputError("input is not a valid completion of the reduction graph")
-    anchors = rg.anchor_edges()
-    out: list[Edge] = []
-    out_set: set[Edge] = set()
-
-    def buy(j: int) -> None:
-        e = rg.anchor_edge(j)
-        if e not in out_set:
-            out_set.add(e)
-            out.append(e)
-
+    bought = _AnchorPurchase(rg, c, 3)
     cset = c.as_set()
     for i, ids in enumerate(rg.item_ids):
         blob = set(ids)
         if any(u in blob and v in blob for (u, v) in cset):
-            buy(min(rg.covering_sets(i)))
-    for e in c:
-        if e in anchors:
-            buy(anchors[e])
-    current = apply_completion(rg.graph, CompletionSet(out))
+            bought.buy(min(rg.covering_sets(i)))
+    bought.buy_anchors_in(c)
     for i, ids in enumerate(rg.item_ids):
-        probe = norm_edge(ids[0], rg.common)
-        if not _is_saturated(current, probe, 3):
-            buy(min(rg.covering_sets(i)))
-            current = apply_completion(rg.graph, CompletionSet(out))
-    return CompletionSet(out)
+        if not bought.saturated(norm_edge(ids[0], rg.common)):
+            bought.buy(min(rg.covering_sets(i)))
+    return CompletionSet(bought.out)
 
 
 def goodify_k(rg: LabeledReductionGraph, c: CompletionSet, k: int) -> CompletionSet:
@@ -332,58 +338,43 @@ def goodify_k(rg: LabeledReductionGraph, c: CompletionSet, k: int) -> Completion
         raise InputError("this rewrite applies to the k >= 4 construction")
     if k != rg.k:
         raise InputError(f"k={k} does not match the construction's k={rg.k}")
-    if not validate_completion(rg.graph, c, CoverSpec(k, 1)).ok:
-        raise InputError("input is not a valid completion of the reduction graph")
-    anchors = rg.anchor_edges()
-    out: list[Edge] = []
-    out_set: set[Edge] = set()
-
-    def buy(j: int) -> None:
-        e = rg.anchor_edge(j)
-        if e not in out_set:
-            out_set.add(e)
-            out.append(e)
-
-    for e in c:
-        if e in anchors:
-            buy(anchors[e])
+    bought = _AnchorPurchase(rg, c, k)
+    bought.buy_anchors_in(c)
     vertex_set = {v: j for j, ids in enumerate(rg.set_ids) for v in ids}
-    crossed: set[tuple[int, int]] = set()
     for u, v in c:
         ju, jv = vertex_set.get(u), vertex_set.get(v)
         if ju is not None and jv is not None and ju != jv:
-            pair = (min(ju, jv), max(ju, jv))
-            if pair not in crossed:
-                crossed.add(pair)
-                buy(pair[0])
-    with_input = apply_completion(rg.graph, c)
+            bought.buy(min(ju, jv))
+    added: dict[int, set[int]] = {}  # the input's pairs by endpoint
+    for u, v in c:
+        added.setdefault(u, set()).add(v)
+        added.setdefault(v, set()).add(u)
     orig = rg.graph.edges
-    current = apply_completion(rg.graph, CompletionSet(out))
     while True:
         unsat = [
             i
             for i, pair in enumerate(rg.item_ids)
-            if not _is_saturated(current, norm_edge(*pair), k)
+            if not bought.saturated(norm_edge(*pair))
         ]
         if not unsat:
             break
         i = unsat[0]
         xi, xj = rg.item_ids[i]
         v = None
-        for cand in triangle_vertices(with_input, (xi, xj)):
+        near_i, near_j = (set(rg.graph.adj[x]) | added.get(x, set()) for x in (xi, xj))
+        for cand in sorted(near_i & near_j):
             touches = (norm_edge(xi, cand) in orig) + (norm_edge(xj, cand) in orig)
             if touches <= 1:
                 v = cand
                 break
         if v is None:
             raise AssertionError("every clique vertex is doubly attached in the base graph")
-        buy(min(rg.covering_sets(i)))
+        bought.buy(min(rg.covering_sets(i)))
         for other in unsat[1:]:
             if v in rg.item_ids[other]:
-                buy(min(rg.covering_sets(other)))
+                bought.buy(min(rg.covering_sets(other)))
                 break
-        current = apply_completion(rg.graph, CompletionSet(out))
-    return CompletionSet(out)
+    return CompletionSet(bought.out)
 
 
 def extract_set_cover(rg: LabeledReductionGraph, good: CompletionSet) -> list[int]:
@@ -511,26 +502,6 @@ def partition_from_edge_partition(
                 raise InputError(f"leg {leg} is split between groups")
         if len(legs) != 3:
             raise InputError(f"group contains {len(legs)} whole legs, expected 3")
-        if not _edges_connected(g_edges):
-            raise InputError("group is not a subtree")
         triples.append((legs[0], legs[1], legs[2]))
     return triples
 
-
-def _edges_connected(edges: list[Edge]) -> bool:
-    if not edges:
-        return True
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = edges[0][0]
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(adj)

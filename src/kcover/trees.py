@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
-from .graph import CompletionSet, Edge, Graph, norm_edge
+from .graph import CompletionSet, Edge, Graph, components, norm_edge
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,17 @@ def _pop_alive_child(heap: list[int], alive: list[bool], skip: int = -1) -> int 
     return None
 
 
+def _residual_index(t: RootedTree) -> tuple[list[int], list[list[int]], DepthIndex]:
+    """Each vertex's child count, a consume-only heap of its children, and an
+    empty depth index over t.
+
+    children() lists every vertex's children in ascending order, which is
+    already a min-heap.
+    """
+    child_heap = t.children()
+    return [len(h) for h in child_heap], child_heap, DepthIndex(t.depth, max(t.depth))
+
+
 def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
     """Partition the tree's edges into paths on three vertices.
 
@@ -108,15 +119,7 @@ def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
         raise InputError("edge partition needs at least 3 vertices")
     parent = t.parent
     alive = [True] * n
-    child_count = [0] * n
-    child_heap: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if v != t.root:
-            child_count[parent[v]] += 1
-            child_heap[parent[v]].append(v)
-    for h in child_heap:
-        heapq.heapify(h)
-    idx = DepthIndex(t.depth, max(t.depth))
+    child_count, child_heap, idx = _residual_index(t)
     for v in range(n):
         idx.push(v, 0)  # no priority needed; ties resolve to the lowest id
     live = n
@@ -159,35 +162,35 @@ def optimal_tree_31(t: RootedTree) -> CompletionSet:
     if g.n < 3:
         raise InputError("triangle completion needs at least 3 vertices")
     additions: list[Edge] = []
-    added: set[Edge] = set()
     leftover: Edge | None = None
     for grp in p3_partition(t):
         if len(grp) == 1:
             leftover = grp[0]
             continue
-        (a1, b1), (a2, b2) = grp
-        shared = ({a1, b1} & {a2, b2}).pop()
-        lo, hi = sorted(({a1, b1} | {a2, b2}) - {shared})
-        e = (lo, hi)
-        additions.append(e)
-        added.add(e)
+        # the chord joins the two endpoints the edges do not share
+        additions.append(tuple(sorted(set(grp[0]) ^ set(grp[1]))))
     if leftover is not None:
-        chord = None
-        u, v = leftover
-        for a, b in ((u, v), (v, u)):
-            for x in g.adj[a]:
-                if x == b:
-                    continue
-                e = norm_edge(b, x)
-                if e not in added and e not in g.edges:
-                    chord = e
-                    break
-            if chord is not None:
-                break
-        if chord is None:
-            raise AssertionError("no chord available for the leftover edge")
-        additions.append(chord)
+        additions.append(bridge_chord(g, *leftover, set(additions)))
     return CompletionSet(additions)
+
+
+def bridge_chord(g: Graph, u: int, v: int, added: set[Edge]) -> Edge:
+    """A non-edge that puts the bridge (u, v) in a triangle and is not in added.
+
+    It joins one endpoint to another neighbour of the other, trying u's
+    neighbours first.  A bridge lies in no triangle, so no such pair may
+    already be an edge of g.
+    """
+    for base, far in ((u, v), (v, u)):
+        for x in g.adj[base]:
+            if x == far:
+                continue
+            e = norm_edge(far, x)
+            if e in g.edges:
+                raise AssertionError("bridge endpoint neighbor already closes a triangle")
+            if e not in added:
+                return e
+    raise AssertionError("no chord available for a bridge")
 
 
 def spider_graph(legs: Sequence[int]) -> Graph:
@@ -265,7 +268,7 @@ class _ForestPool:
         self.by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
         self.any_heap: list[tuple[int, int, int]] = []
         self.explored = len(self.adj)
-        for comp in _residual_components(self.adj):
+        for comp in components(self.adj, self.adj):
             self._register(comp)
 
     def _register(self, comp: list[int]) -> None:
@@ -509,27 +512,6 @@ def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
     return approx_tree_k_trace(t, k).completion
 
 
-def _residual_components(adj: dict[int, set[int]]) -> list[list[int]]:
-    """Sorted vertex lists of the connected components of an adjacency map."""
-    seen: set[int] = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSet:
     """Cover every tree edge by a 4-clique using at most 2(n-1) additions.
 
@@ -546,15 +528,7 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
         raise InputError(f"tree has {n} vertices, needs at least 4")
     parent = t.parent
     alive = [True] * n
-    child_count = [0] * n
-    child_heap: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if v != t.root:
-            child_count[parent[v]] += 1
-            child_heap[parent[v]].append(v)
-    for h in child_heap:
-        heapq.heapify(h)
-    idx = DepthIndex(t.depth, max(t.depth))
+    child_count, child_heap, idx = _residual_index(t)
     for v in range(n):
         if child_count[v]:
             idx.push(v, child_count[v])
@@ -568,7 +542,7 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
         for u, v in edges:
             resid[u].discard(v)
             resid[v].discard(u)
-        comps = [c for c in _residual_components(resid) if len(c) > 1]
+        comps = [c for c in components(resid, resid) if len(c) > 1]
         if len(comps) > 2:
             raise AssertionError(f"cut left {len(comps)} non-trivial components")
         if len(comps) == 2 and banked_pair is None:
@@ -672,7 +646,7 @@ def _check_banked_shape(banked: list[Edge]) -> None:
     for u, v in banked:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    sizes = sorted(len(c) for c in _residual_components(adj))
+    sizes = sorted(len(c) for c in components(adj, adj))
     if sizes and sizes[-1] > 3:
         raise AssertionError("banked component larger than a 2-edge path")
     if sizes.count(3) > 1:

@@ -7,9 +7,10 @@ from kcover import (
     SetCoverInstance,
     build_setcover_k3,
     completion_from_cover,
+    gen_random_tree,
 )
 from kcover import io
-from kcover.cli import _build_parser, main
+from kcover.cli import SOLVERS, _build_parser, main
 from kcover.io import (
     format_edge_list,
     format_setcover_json,
@@ -164,6 +165,27 @@ def test_solve_usage_errors(tmp_path, capsys, quiet_env):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize(
+    "alg, flags, code",
+    [
+        ("tree-opt", ["--k", "7", "--l", "3"], 1),
+        ("tree-opt", ["--k", "7"], 1),
+        ("chordal-opt", ["--l", "2"], 1),
+        ("tree-approx4", ["--k", "5"], 1),
+        ("tree-approx", ["--k", "5", "--l", "2"], 1),
+        ("tree-opt", ["--k", "3", "--l", "1"], 0),
+        ("tree-approx4", ["--k", "4"], 0),
+    ],
+)
+def test_solve_refuses_a_spec_the_solver_ignores(tmp_path, capsys, quiet_env, alg, flags, code):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    write_graph(gpath, path_graph(6))
+    assert main(["solve", "--alg", alg, "--in", str(gpath), "--out", str(cpath), *flags]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code else not err
+    assert cpath.exists() == (code == 0)
+
 def test_bad_log_level_is_rejected(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COVER_LOG", "chatty")
     assert main(["gen", "tree", "--n", "5", "--out", str(tmp_path / "t.txt")]) == 1
@@ -261,6 +283,42 @@ def test_goodify_cli(tmp_path, capsys, quiet_env):
     capsys.readouterr()
 
 
+
+def _retype_roles(data: dict, case: str) -> None:
+    if case == "roles-list":
+        data["roles"] = [1, 2]
+    elif case == "index-string":
+        data["roles"]["0"]["index"] = "a"
+    elif case == "index-null":
+        data["roles"]["0"]["index"] = None  # a set role next to indexed ones
+    else:
+        data["k"] = "3"
+
+
+@pytest.mark.parametrize("case", ["roles-list", "index-string", "index-null", "k-string"])
+def test_goodify_rejects_mistyped_role_map(tmp_path, capsys, quiet_env, case):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(format_setcover_json(FIG))
+    out_graph, out_roles = tmp_path / "red.txt", tmp_path / "red.roles.json"
+    assert main([
+        "reduce", "setcover", "--k", "3", "--in", str(inst_path),
+        "--out-graph", str(out_graph), "--out-roles", str(out_roles),
+    ]) == 0
+    data = json.loads(out_roles.read_text())
+    assert data["roles"]["0"] == {"kind": "set", "index": 0}
+    _retype_roles(data, case)
+    out_roles.write_text(json.dumps(data))
+    cpath, gpath = tmp_path / "completion.txt", tmp_path / "good.txt"
+    write_completion(cpath, completion_from_cover(build_setcover_k3(FIG), [0, 1, 2]))
+    capsys.readouterr()
+    code = main([
+        "goodify", "--graph", str(out_graph), "--roles", str(out_roles),
+        "--completion", str(cpath), "--out", str(gpath),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not gpath.exists()
+
 def test_gen_families(tmp_path, capsys, quiet_env):
     out = tmp_path / "out.txt"
 
@@ -330,4 +388,20 @@ def test_bench_requires_k_for_generic_approx(tmp_path, capsys, quiet_env):
         "--trials", "2", "--seed", "0", "--csv", str(tmp_path / "x.csv"),
     ])
     assert code == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("alg", list(SOLVERS))
+def test_bench_reports_what_solve_adds(tmp_path, capsys, quiet_env, alg):
+    n, seed = 40, 7
+    k_flags = ["--k", "5"] if SOLVERS[alg][0] is None else []
+    gpath, cpath, csv_path = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "b.csv"
+    write_graph(gpath, gen_random_tree(n, seed))
+    assert main(["solve", "--alg", alg, "--in", str(gpath), "--out", str(cpath), *k_flags]) == 0
+    assert main([
+        "bench", "--alg", alg, "--n", str(n), "--trials", "1", "--seed", str(seed),
+        "--csv", str(csv_path), *k_flags,
+    ]) == 0
+    row = csv_path.read_text().splitlines()[1].split(",")
+    assert row[4] == alg and int(row[5]) == len(read_completion(cpath))
     capsys.readouterr()
