@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -13,6 +14,7 @@ from kcover import (
     SetCoverInstance,
     brute_min_completion,
     brute_min_setcover,
+    gen_random_chordal,
     gen_random_tree,
     validate_completion,
 )
@@ -26,6 +28,10 @@ from helpers import (
 )
 
 FIG = SetCoverInstance(3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})])
+
+# sha256 of the oracle's verdicts over the exact-small corpus, recorded before
+# the search was pruned; any change to a verdict or completion moves it
+GOLDEN_ORACLE_SHA256 = "b97ce5235ae8bd4ebfeffd4d8ee895bbdac9a219cf129c699e4a85452dd7abf3"
 
 
 def test_oracle_on_path_three():
@@ -141,3 +147,31 @@ def test_setcover_oracle_prefers_lexicographically_least():
 def test_setcover_oracle_refuses_oversized_instances():
     with pytest.raises(InconclusiveError):
         brute_min_setcover(FIG, max_sets=2)
+
+
+def _exact_small_corpus():
+    # the fixed corpus of perfbench's exact-small workload, at the same specs
+    specs = ((3, 1), (4, 1), (5, 1), (3, 2), (4, 2))
+    for n in (7, 8, 9):
+        for i in range(3):
+            for k, l in specs:
+                if n == 7 or (k, l) != (4, 2):
+                    yield gen_random_tree(n, 1000 * n + i), CoverSpec(k, l)
+    for n in (6, 7, 8):
+        for w in (2, 3):
+            for i in range(3):
+                g = gen_random_chordal(n, w, 1000 * n + 10 * w + i)
+                for k, l in specs:
+                    yield g, CoverSpec(k, l)
+
+
+def test_oracle_golden_hash():
+    h = hashlib.sha256()
+    verdicts = 0
+    for g, spec in _exact_small_corpus():
+        res = brute_min_completion(g, spec, OracleBudget(max_additions=16))
+        completion = sorted(res.completion) if res.completion is not None else None
+        h.update(f"{res.status} {completion} {res.lower_bound}\n".encode())
+        verdicts += 1
+    assert verdicts == 129
+    assert h.hexdigest() == GOLDEN_ORACLE_SHA256
