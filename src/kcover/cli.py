@@ -27,7 +27,7 @@ from .generators import (
     gen_random_tree,
 )
 from .graph import CoverSpec, validate_completion
-from .oracle import InconclusiveError, OracleBudget, brute_min_completion
+from .oracle import InconclusiveError, OracleBudget, brute_min_completion, deepening_start
 from .reductions import (
     build_setcover_k,
     build_setcover_k3,
@@ -106,7 +106,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         spec = CoverSpec(args.k if args.k is not None else 3, args.l)
         budget = OracleBudget(max_additions=args.max_additions, max_nodes=args.max_nodes)
         result = brute_min_completion(g, spec, budget)
-        log.info("brute search visited %d nodes", result.nodes)
+        log.info(
+            "brute search visited %d nodes, deepening from size %d",
+            result.nodes, deepening_start(g, spec),
+        )
         if not result.ok:
             print(
                 f"inconclusive: no completion within {budget.max_additions} "

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import InputError
 from .graph import CompletionSet, CoverSpec, Edge, Graph, validate_completion
@@ -55,7 +56,9 @@ class _Search:
     """Depth-first search over clique-placement branches at a fixed budget.
 
     Adjacency is a list of ints, one bitmask per vertex, so saturation
-    checks are word-parallel intersections.
+    checks are word-parallel intersections.  A state whose admissible lower
+    bound exceeds the remaining budget is cut off: it holds no solution, so
+    the first completion found is the one the unpruned search finds.
     """
 
     def __init__(self, g: Graph, spec: CoverSpec, max_nodes: int) -> None:
@@ -67,7 +70,44 @@ class _Search:
         for u, v in g.edges:
             self.base[u] |= 1 << v
             self.base[v] |= 1 << u
+        # every edge of a solution has at least c_min common neighbours
+        self.c_min = self.k - 2
+        while comb(self.c_min, self.k - 2) < self.l:
+            self.c_min += 1
         self.nodes = 0
+
+    def lower_bound(self, adj: list[int]) -> int:
+        """Additions still needed, by degree and by common-neighbour deficits.
+
+        Each vertex must reach degree c_min + 1, and each edge c_min common
+        neighbours.  One addition raises two degrees by one, and the common
+        count of at most two edges of a matching by one each, so either
+        summed deficit halved (over a greedy matching of deficient edges, for
+        the common neighbours) is admissible.
+        """
+        need = self.c_min
+        degree = common = 0
+        free = (1 << self.n) - 1
+        for u in range(self.n):
+            nu = adj[u]
+            gap = need + 1 - nu.bit_count()
+            if gap > 0:
+                degree += gap
+            if not free >> u & 1:
+                continue
+            # match u to the free neighbour above it with the largest deficit
+            best = mate = 0
+            rest = nu & free & -(2 << u)
+            while rest:
+                low = rest & -rest
+                gap = need - (nu & adj[low.bit_length() - 1]).bit_count()
+                if gap > best:
+                    best, mate = gap, low
+                rest ^= low
+            if best:
+                common += best
+                free ^= mate | 1 << u
+        return (max(degree, common) + 1) // 2
 
     def _cliques_in(self, adj: list[int], mask: int, need: int, cap: int) -> int:
         # number of `need`-cliques inside `mask`, counted in ascending vertex
@@ -110,6 +150,8 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise InconclusiveError("node budget exhausted")
+        if self.lower_bound(adj) > remaining:
+            return None
         target = self._first_unsaturated(adj)
         if target is None:
             return list(additions)
@@ -150,10 +192,10 @@ def brute_min_completion(
 ) -> OracleResult:
     """Minimum completion set by iterative deepening over addition counts.
 
-    Every size below the answer is exhaustively refuted, so a returned
-    optimum is exact.  Branches place one missing clique on the
-    lexicographically first unsaturated edge, which keeps the search
-    deterministic.
+    Every size below the answer is refuted, by the root's lower bound or by
+    exhaustive search, so a returned optimum is exact.  Branches place one
+    missing clique on the lexicographically first unsaturated edge, which
+    keeps the search deterministic.
     """
     if budget is None:
         budget = OracleBudget()
@@ -162,9 +204,9 @@ def brute_min_completion(
     if not g.is_connected():
         raise InputError("search expects a connected graph")
     search = _Search(g, spec, budget.max_nodes)
-    size = 0
+    size = search.lower_bound(search.base)
     try:
-        for size in range(budget.max_additions + 1):
+        for size in range(size, budget.max_additions + 1):
             found = search.run(list(search.base), [], size, {})
             if found is not None:
                 completion = CompletionSet(found)
@@ -177,6 +219,12 @@ def brute_min_completion(
     return OracleResult(
         "inconclusive", None, budget.max_additions + 1, search.nodes
     )
+
+
+def deepening_start(g: Graph, spec: CoverSpec) -> int:
+    """The size brute_min_completion's deepening starts at: the root's bound."""
+    search = _Search(g, spec, 1)
+    return search.lower_bound(search.base)
 
 
 def brute_min_setcover(inst: SetCoverInstance, max_sets: int = 20) -> list[int]:

@@ -156,6 +156,10 @@ class LabeledReductionGraph:
             raise InputError("no common vertex in roles")
         if sorted(sets) != list(range(len(sets))) or sorted(items) != list(range(len(items))):
             raise InputError("set/item indices must be dense")
+        if k >= 4:
+            for i, ids in items.items():
+                if len(ids) != 2:
+                    raise InputError(f"item {i} has {len(ids)} endpoints; k >= 4 needs 2")
         return cls(
             graph=graph,
             roles=tuple(roles),

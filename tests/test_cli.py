@@ -5,6 +5,7 @@ import pytest
 
 from kcover import (
     SetCoverInstance,
+    build_setcover_k,
     build_setcover_k3,
     completion_from_cover,
     gen_random_tree,
@@ -134,6 +135,17 @@ def test_solve_brute(tmp_path, capsys, quiet_env):
     assert main(["solve", "--alg", "brute", "--in", str(gpath), "--out", str(cpath)]) == 0
     assert list(read_completion(cpath)) == [(0, 2)]
     capsys.readouterr()
+
+
+def test_solve_brute_logs_its_deepening_start_at_info(tmp_path, capsys, caplog, monkeypatch):
+    monkeypatch.setenv("COVER_LOG", "info")
+    caplog.set_level(logging.INFO, logger="kcover")
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    write_graph(gpath, path_graph(5))
+    assert main(["solve", "--alg", "brute", "--in", str(gpath), "--out", str(cpath)]) == 0
+    capsys.readouterr()
+    messages = [r.getMessage() for r in caplog.records if r.name == "kcover"]
+    assert messages[0] == "brute search visited 7 nodes, deepening from size 1"
 
 
 def test_solve_brute_inconclusive_budget(tmp_path, capsys, quiet_env):
@@ -282,6 +294,28 @@ def test_goodify_cli(tmp_path, capsys, quiet_env):
     assert code == 1
     capsys.readouterr()
 
+
+def test_goodify_rejects_a_three_vertex_item_at_k4(tmp_path, capsys, quiet_env):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(format_setcover_json(FIG))
+    out_graph, out_roles = tmp_path / "red.txt", tmp_path / "red.roles.json"
+    assert main([
+        "reduce", "setcover", "--k", "4", "--in", str(inst_path),
+        "--out-graph", str(out_graph), "--out-roles", str(out_roles),
+    ]) == 0
+    data = json.loads(out_roles.read_text())
+    aux = next(v for v, role in data["roles"].items() if role["kind"] == "aux")
+    data["roles"][aux] = {"kind": "item-endpoint", "index": 0}
+    out_roles.write_text(json.dumps(data))
+    cpath, gpath = tmp_path / "completion.txt", tmp_path / "good.txt"
+    write_completion(cpath, completion_from_cover(build_setcover_k(FIG, 4), [0, 1, 2]))
+    capsys.readouterr()
+    code = main([
+        "goodify", "--graph", str(out_graph), "--roles", str(out_roles),
+        "--completion", str(cpath), "--out", str(gpath),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _retype_roles(data: dict, case: str) -> None:

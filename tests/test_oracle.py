@@ -19,6 +19,9 @@ from kcover import (
     validate_completion,
 )
 
+from kcover import oracle
+from kcover.oracle import deepening_start
+
 from helpers import (
     complete_graph,
     naive_min_completion,
@@ -99,17 +102,65 @@ def _random_connected(n: int, seed: int) -> Graph:
     return g.add_edges(pool[: rng.randint(0, 3)])
 
 
-def test_oracle_matches_naive_enumeration():
+NAIVE_SPECS = tuple(
+    CoverSpec(k, l) for k, l in ((3, 1), (3, 2), (4, 1), (5, 1), (4, 2), (3, 3))
+)
+
+
+def _feasible(n: int, spec: CoverSpec) -> bool:
+    # in K_n every edge lies in C(n-2, k-2) k-cliques
+    return n >= spec.k and math.comb(n - 2, spec.k - 2) >= spec.l
+
+
+def _naive_cases():
     for seed in range(16):
-        n = 4 + seed % 3
-        g = _random_connected(n, seed)
-        for spec in (CoverSpec(3, 1), CoverSpec(3, 2), CoverSpec(4, 1)):
-            if g.n < spec.k:
-                continue
-            res = brute_min_completion(g, spec)
-            assert res.ok
-            assert len(res.completion) == len(naive_min_completion(g, spec))
-            assert validate_completion(g, res.completion, spec).ok
+        g = _random_connected(4 + seed % 3, seed)
+        for spec in NAIVE_SPECS:
+            if _feasible(g.n, spec):
+                yield g, spec
+
+
+def _disagreements_with_naive() -> int:
+    # the oracle's budget is exactly the naive optimum, so it must prove that
+    # size optimal without room for a larger completion
+    wrong = 0
+    for g, spec in _naive_cases():
+        optimum = len(naive_min_completion(g, spec))
+        res = brute_min_completion(g, spec, OracleBudget(max_additions=max(1, optimum)))
+        wrong += not res.ok or len(res.completion) != optimum
+        assert res.completion is None or validate_completion(g, res.completion, spec).ok
+    return wrong
+
+
+def test_oracle_matches_naive_enumeration():
+    assert _disagreements_with_naive() == 0
+
+
+def test_oracle_root_bound_is_admissible():
+    for seed in range(12):
+        g = _random_connected(3 + seed % 4, 100 + seed)
+        for k in (3, 4, 5):
+            for l in (1, 2, 3):
+                spec = CoverSpec(k, l)
+                if _feasible(g.n, spec):
+                    assert deepening_start(g, spec) <= len(naive_min_completion(g, spec))
+
+
+def test_oracle_with_an_inflated_bound_disagrees_with_naive(monkeypatch):
+    # negative control: a bound one too high prunes optimal completions away,
+    # and the naive comparison must notice
+    exact = oracle._Search.lower_bound
+    monkeypatch.setattr(oracle._Search, "lower_bound", lambda self, adj: exact(self, adj) + 1)
+    assert _disagreements_with_naive() > 0
+
+
+def test_oracle_node_count_on_a_nine_vertex_tree():
+    # counted work: the unpruned search visits 605,335 nodes here
+    res = brute_min_completion(
+        gen_random_tree(9, 9002), CoverSpec(4, 2), OracleBudget(max_additions=16)
+    )
+    assert res.ok and len(res.completion) == 15
+    assert res.nodes <= 300_000
 
 
 def test_oracle_respects_tree_lower_bound():

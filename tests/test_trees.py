@@ -11,10 +11,12 @@ from kcover import (
     DepthIndex,
     Graph,
     InputError,
+    OracleBudget,
     RootedTree,
     approx_tree_4,
     approx_tree_k,
     approx_tree_k_trace,
+    brute_min_completion,
     extract_maximal_k_subforest,
     gen_random_tree,
     optimal_tree_31,
@@ -332,6 +334,26 @@ def _best_of(times: int, fn) -> float:
         best = min(best, time.perf_counter() - started)
         gc.enable()
     return best
+
+
+def test_k_clique_approximations_are_3_l_completions_on_trees():
+    """The paper's (3, k-2) tree claim, checked against the oracle.
+
+    Every edge of a k-clique lies in k-2 of its triangles, so approx_tree_4
+    output is a (3,2) completion and approx_tree_k(k=l+2) output a (3,l) one.
+    Their size stays within twice the oracle's (3,l) optimum here.  The 2 is
+    an empirical constant for these small trees (the worst ratio seen is
+    1.25), not the paper's approximation factor.
+    """
+    for n in (6, 7, 8):
+        for seed in range(15):
+            g = gen_random_tree(n, seed)
+            t = rooted(g)
+            for l, c in ((2, approx_tree_4(t)), (3, approx_tree_k(t, 5))):
+                spec = CoverSpec(3, l)
+                assert validate_completion(g, c, spec).ok
+                opt = brute_min_completion(g, spec, OracleBudget(max_additions=16))
+                assert opt.ok and len(c) <= 2 * len(opt.completion)
 
 
 def test_optimal_tree_31_linear_time_smoke():
