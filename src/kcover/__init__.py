@@ -25,10 +25,8 @@ from .graph import (
     Graph,
     apply_completion,
     check_chordal,
-    count_k_cliques_on_edge,
     find_bridges,
     norm_edge,
-    triangle_vertices,
     unsaturated_edges,
     validate_completion,
 )
@@ -58,14 +56,10 @@ from .reductions import (
     unsaturated_item_targets,
 )
 from .trees import (
-    CliqueCoverTrace,
     DepthIndex,
     RootedTree,
-    SubforestCut,
     approx_tree_4,
     approx_tree_k,
-    approx_tree_k_trace,
-    extract_maximal_k_subforest,
     optimal_tree_31,
     p3_partition,
     spider_graph,
@@ -73,62 +67,3 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChordalDecomposition",
-    "ChordalityResult",
-    "CliqueCoverTrace",
-    "CompletionSet",
-    "CoverCheck",
-    "CoverSpec",
-    "DepthIndex",
-    "Edge",
-    "Graph",
-    "InconclusiveError",
-    "InputError",
-    "LabeledReductionGraph",
-    "OracleBudget",
-    "OracleResult",
-    "Role",
-    "RootedTree",
-    "SetCoverInstance",
-    "SubforestCut",
-    "ThreePartitionInstance",
-    "apply_completion",
-    "approx_tree_4",
-    "approx_tree_k",
-    "approx_tree_k_trace",
-    "brute_min_completion",
-    "brute_min_setcover",
-    "build_setcover_k",
-    "build_setcover_k3",
-    "build_spider",
-    "check_chordal",
-    "completion_from_cover",
-    "completion_from_partition",
-    "count_k_cliques_on_edge",
-    "decompose_trees",
-    "enumerate_labeled_trees",
-    "extract_maximal_k_subforest",
-    "extract_set_cover",
-    "find_bridges",
-    "gen_random_3partition",
-    "gen_random_chordal",
-    "gen_random_setcover",
-    "gen_random_tree",
-    "goodify_3",
-    "goodify_k",
-    "norm_edge",
-    "optimal_chordal_31",
-    "optimal_tree_31",
-    "p3_partition",
-    "partition_from_edge_partition",
-    "spider_graph",
-    "spider_leg_edges",
-    "spider_leg_vertices",
-    "triangle_vertices",
-    "unsaturated_edges",
-    "unsaturated_item_targets",
-    "validate_completion",
-    "worst_case_spider",
-]

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import CompletionSet, Edge, Graph, check_chordal, components, find_bridges, norm_edge
+from .graph import (
+    CompletionSet, Edge, Graph, check_chordal, components, find_bridges, neighbour_sets, norm_edge,
+)
 from .trees import RootedTree, bridge_chord, optimal_tree_31
 
 
@@ -25,13 +27,6 @@ class ChordalDecomposition:
     interior: frozenset[int]
     outer: frozenset[int]
 
-    def label(self, v: int) -> str:
-        if v in self.boundary:
-            return "boundary"
-        if v in self.interior:
-            return "interior"
-        return "outer"
-
 
 def decompose_trees(g: Graph) -> ChordalDecomposition:
     """Group the bridges of g into maximal trees.
@@ -44,10 +39,7 @@ def decompose_trees(g: Graph) -> ChordalDecomposition:
     if not g.is_connected():
         raise InputError("decomposition needs a connected graph")
     bridges = find_bridges(g)
-    adj: dict[int, list[int]] = {}
-    for u, v in bridges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = neighbour_sets(bridges)
     trees = tuple(tuple(comp) for comp in components(adj, sorted(adj)))
     tree_edges = tuple(
         tuple(sorted((v, w) for v in comp for w in adj[v] if v < w)) for comp in trees
@@ -67,20 +59,16 @@ def decompose_trees(g: Graph) -> ChordalDecomposition:
     )
 
 
-def optimal_chordal_31(g: Graph, allow_nonchordal: bool = False) -> CompletionSet:
+def optimal_chordal_31(g: Graph) -> CompletionSet:
     """Minimum completion giving every edge of a connected chordal graph a triangle.
 
     Solves each bridge-tree independently: the tree solver for trees with at
     least three vertices, and for a lone bridge one chord from its non-boundary
     endpoint to a neighbor of the boundary endpoint.
-
-    With allow_nonchordal=True the same procedure runs on any connected graph
-    as a heuristic; the result then still saturates every bridge but carries
-    no optimality guarantee.
     """
     dec = decompose_trees(g)
     chordality = check_chordal(g)
-    if not chordality.is_chordal and not allow_nonchordal:
+    if not chordality.is_chordal:
         raise InputError(
             f"graph is not chordal (later neighbors of vertex "
             f"{chordality.certificate} are not a clique)"

@@ -1,4 +1,4 @@
-"""Command-line front end: solve, check, reduce, goodify, gen, bench.
+"""Command-line front end: solve, check, reduce, goodify, gen.
 
 Exit codes: 0 success, 1 invalid input, 2 failed check or validation,
 3 inconclusive brute-force search.  Verbosity comes from the COVER_LOG
@@ -8,10 +8,8 @@ environment variable (quiet, info, trace).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import logging
-import math
 import os
 import sys
 import time
@@ -34,6 +32,7 @@ from .reductions import (
     build_spider,
     goodify_3,
     goodify_k,
+    setcover_gadget_order,
 )
 from .trees import (
     RootedTree,
@@ -51,6 +50,7 @@ EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_INCONCLUSIVE = 3
 
+_TO_WRITE = "the graph to write would have"
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
 
 
@@ -148,6 +148,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.construction == "setcover":
         inst = io.parse_setcover_json(Path(args.infile).read_text())
+        io.check_order(setcover_gadget_order(inst, args.k), _TO_WRITE)
         rg = build_setcover_k3(inst) if args.k == 3 else build_setcover_k(inst, args.k)
         io.write_reduction(args.out_graph, args.out_roles, rg)
         log.info(
@@ -157,6 +158,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         print(f"n={rg.graph.n} m={rg.graph.m}")
     else:
         inst = io.parse_three_partition_json(Path(args.infile).read_text())
+        io.check_order(1 + sum(inst.values), _TO_WRITE)
         spider = build_spider(inst)
         io.write_graph(args.out_graph, spider)
         print(f"n={spider.n} m={spider.m}")
@@ -175,11 +177,14 @@ def _cmd_goodify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.family in ("tree", "chordal", "worst-spider"):
+        io.check_order(args.n, _TO_WRITE)
     if args.family == "tree":
         io.write_graph(args.out, gen_random_tree(args.n, args.seed))
     elif args.family == "chordal":
         io.write_graph(args.out, gen_random_chordal(args.n, args.width, args.seed))
     elif args.family == "spider":
+        io.check_order(1 + sum(args.legs), _TO_WRITE)
         io.write_graph(args.out, spider_graph(args.legs))
     elif args.family == "worst-spider":
         io.write_graph(args.out, worst_case_spider(args.n))
@@ -194,45 +199,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if witness is not None:
             log.info("witness partition: %s", witness)
     print(f"wrote {args.out}")
-    return EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    k = _solver_k(args.alg, args.k, 1)
-    solve = SOLVERS[args.alg][1]
-    n = args.n
-    lower_bound = math.ceil((n - 1) * (k - 2) / 2)
-    rows = []
-    for trial in range(args.trials):
-        g = gen_random_tree(n, args.seed + trial)
-        started = time.perf_counter()
-        size = len(solve(g, k))
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        rows.append(
-            {
-                "instance_id": f"{args.alg}-n{n}-t{trial:04d}",
-                "n": n,
-                "k": k,
-                "l": 1,
-                "alg": args.alg,
-                "alg_size": size,
-                "lower_bound": lower_bound,
-                "ratio": f"{size / lower_bound:.6f}",
-                "elapsed_ms": f"{elapsed_ms:.3f}",
-            }
-        )
-    rows.sort(key=lambda r: r["instance_id"])
-    with open(args.csv, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "instance_id", "n", "k", "l", "alg",
-                "alg_size", "lower_bound", "ratio", "elapsed_ms",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {args.trials} rows to {args.csv}")
     return EXIT_OK
 
 
@@ -292,15 +258,6 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="run seeded trials, write a CSV")
-    p_bench.add_argument("--alg", required=True, choices=list(SOLVERS))
-    p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--trials", type=int, required=True)
-    p_bench.add_argument("--k", type=int, default=None)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--csv", required=True)
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

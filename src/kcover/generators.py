@@ -47,8 +47,6 @@ def gen_random_tree(n: int, seed: int) -> Graph:
         raise InputError("tree needs at least one vertex")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     seq = tuple(rng.randrange(n) for _ in range(n - 2))
     return Graph(n, _tree_from_prufer(seq, n))

@@ -52,19 +52,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} out of range for n={self.n}")
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def edge_list(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def add_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(self.n, list(self.edges) + [norm_edge(u, v) for u, v in pairs])
 
     def without_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         drop = {norm_edge(u, v) for u, v in pairs}
@@ -72,21 +61,6 @@ class Graph:
         if missing:
             raise InputError(f"cannot remove non-edges {sorted(missing)}")
         return Graph(self.n, self.edges - drop)
-
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph with dense relabeling.
-
-        Returns (subgraph, old_ids) where old_ids[new] is the original id.
-        """
-        old_ids = sorted(set(vertices))
-        if old_ids and not (0 <= old_ids[0] and old_ids[-1] < self.n):
-            raise InputError("induced vertex set out of range")
-        back = {old: new for new, old in enumerate(old_ids)}
-        keep = set(old_ids)
-        sub_edges = [
-            (back[u], back[v]) for (u, v) in self.edges if u in keep and v in keep
-        ]
-        return Graph(len(old_ids), sub_edges), old_ids
 
     def components(self) -> list[list[int]]:
         return components(self.adj, range(self.n))
@@ -129,6 +103,15 @@ def components(
     return comps
 
 
+def neighbour_sets(pairs: Iterable[Edge]) -> dict[int, set[int]]:
+    """Neighbour sets of the vertices the pairs touch."""
+    adj: dict[int, set[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
 @dataclass(frozen=True)
 class CoverSpec:
     """Target cover parameters: every edge must lie in at least l cliques of order k."""
@@ -159,17 +142,11 @@ class CompletionSet:
             out.append(e)
         self.additions = tuple(out)
 
-    def as_set(self) -> frozenset[Edge]:
-        return frozenset(self.additions)
-
     def __len__(self) -> int:
         return len(self.additions)
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.additions)
-
-    def __contains__(self, e: object) -> bool:
-        return e in self.additions
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CompletionSet) and self.additions == other.additions
@@ -197,14 +174,6 @@ class ChordalityResult:
     certificate: int | None
 
 
-def triangle_vertices(g: Graph, e: tuple[int, int]) -> list[int]:
-    """Vertices forming a triangle with edge e, in ascending order."""
-    u, v = norm_edge(*e)
-    if (u, v) not in g.edges:
-        raise InputError(f"({u},{v}) is not an edge")
-    return sorted(set(g.adj[u]).intersection(g.adj[v]))
-
-
 def _count_cliques(
     nbr: Sequence[set[int]] | Mapping[int, set[int]],
     cands: Collection[int],
@@ -228,21 +197,6 @@ def _count_cliques(
             if count >= cap:
                 return cap
     return count
-
-
-def count_k_cliques_on_edge(g: Graph, e: tuple[int, int], k: int, cap: int) -> int:
-    """Number of k-cliques containing edge e, counted up to cap.
-
-    Equivalent to counting (k-2)-cliques inside the common neighborhood of the
-    endpoints; the search stops as soon as cap cliques are found.
-    """
-    if k < 3:
-        raise InputError(f"clique order k must be >= 3, got {k}")
-    if cap < 1:
-        raise InputError(f"cap must be >= 1, got {cap}")
-    common = triangle_vertices(g, e)
-    nbr = {w: set(g.adj[w]) for w in common} if k > 3 else {}
-    return _count_cliques(nbr, common, k - 2, cap)
 
 
 def _unsaturated(nbr: Sequence[set[int]], edges: Iterable[Edge], spec: CoverSpec) -> list[Edge]:

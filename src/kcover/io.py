@@ -44,6 +44,12 @@ def _parse_pair(line: str, no: int) -> tuple[int, int]:
 MAX_VERTICES = 10_000_000
 
 
+def check_order(n: int, source: str) -> None:
+    """Refuse a vertex count above MAX_VERTICES before anything is built for it."""
+    if n > MAX_VERTICES:
+        raise InputError(f"{source} n={n} vertices; at most {MAX_VERTICES} are supported")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Graph from "n m" followed by m "u v" lines; '#' starts a comment."""
     lines = _data_lines(text)
@@ -51,10 +57,7 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError("empty edge list: missing the 'n m' header line")
     no, head = lines[0]
     n, m = _parse_pair(head, no)
-    if n > MAX_VERTICES:
-        raise InputError(
-            f"line {no}: header declares n={n} vertices; at most {MAX_VERTICES} are supported"
-        )
+    check_order(n, f"line {no}: header declares")
     if len(lines) - 1 != m:
         raise InputError(
             f"header announces {m} edges but the file has {len(lines) - 1}"
@@ -101,17 +104,23 @@ def _is_int_list(x: object) -> bool:
     return isinstance(x, list) and all(_is_int(v) for v in x)
 
 
-def parse_setcover_json(text: str) -> SetCoverInstance:
-    """{"universe": int, "sets": [[item, ...], ...], "t": int or null}"""
+def _json_object(text: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in text, which must hold every one of keys."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
-    for key in ("universe", "sets"):
+    for key in keys:
         if key not in data:
             raise InputError(f"missing key {key!r}")
+    return data
+
+
+def parse_setcover_json(text: str) -> SetCoverInstance:
+    """{"universe": int, "sets": [[item, ...], ...], "t": int or null}"""
+    data = _json_object(text, ("universe", "sets"))
     universe, sets, budget = data["universe"], data["sets"], data.get("t")
     if not _is_int(universe) or universe < 0:
         raise InputError(f"'universe' must be a non-negative integer, got {universe!r}")
@@ -137,15 +146,7 @@ def format_setcover_json(inst: SetCoverInstance) -> str:
 
 def parse_three_partition_json(text: str) -> ThreePartitionInstance:
     """{"s": int, "values": [int, ...]}"""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError("expected a JSON object")
-    for key in ("s", "values"):
-        if key not in data:
-            raise InputError(f"missing key {key!r}")
+    data = _json_object(text, ("s", "values"))
     target, values = data["s"], data["values"]
     if not _is_int(target):
         raise InputError(f"'s' must be an integer, got {target!r}")
@@ -161,12 +162,7 @@ def format_three_partition_json(inst: ThreePartitionInstance) -> str:
 
 def parse_role_map(text: str) -> tuple[int, tuple[Role, ...]]:
     """{"k": int, "roles": {"<vertex>": {"kind": str, "index": int or null}}}"""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or "k" not in data or "roles" not in data:
-        raise InputError('expected an object with "k" and "roles"')
+    data = _json_object(text, ("k", "roles"))
     k, raw = data["k"], data["roles"]
     if not _is_int(k):
         raise InputError(f"'k' must be an integer, got {k!r}")

@@ -70,9 +70,9 @@ class _Search:
         for u, v in g.edges:
             self.base[u] |= 1 << v
             self.base[v] |= 1 << u
-        # every edge of a solution has at least c_min common neighbours
+        # each edge of a solution has c_min common neighbours; n - 1 means none exists
         self.c_min = self.k - 2
-        while comb(self.c_min, self.k - 2) < self.l:
+        while self.c_min < self.n - 1 and comb(self.c_min, self.k - 2) < self.l:
             self.c_min += 1
         self.nodes = 0
 

@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     _check_addition,
     _count_cliques,
+    neighbour_sets,
     norm_edge,
     validate_completion,
 )
@@ -52,8 +53,13 @@ class SetCoverInstance:
                     raise InputError(f"set {idx} contains out-of-range item {x}")
             covered |= s
         if len(covered) != self.universe_size:
-            missing = sorted(set(range(self.universe_size)) - covered)
-            raise InputError(f"items {missing} are not covered by any set")
+            # the first five gaps lie below len(covered) + 5: no scan of the universe
+            below = range(min(self.universe_size, len(covered) + 5))
+            first = [x for x in below if x not in covered][:5]
+            raise InputError(
+                f"{self.universe_size - len(covered)} of {self.universe_size} items are"
+                f" not covered by any set, the first {first}"
+            )
         if self.budget is not None and self.budget < 1:
             raise InputError("budget must be positive when given")
 
@@ -79,10 +85,6 @@ class ThreePartitionInstance:
             raise InputError(
                 f"values sum to {sum(self.values)}, expected {p * self.target}"
             )
-
-    @property
-    def groups(self) -> int:
-        return len(self.values) // 3
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,16 @@ def build_setcover_k(inst: SetCoverInstance, k: int) -> LabeledReductionGraph:
     return LabeledReductionGraph.from_roles(Graph(nxt, edges), roles, k)
 
 
+def setcover_gadget_order(inst: SetCoverInstance, k: int) -> int:
+    """The vertex count of build_setcover_k3 (k = 3) or build_setcover_k, without building it."""
+    nf, nx, members = len(inst.sets), inst.universe_size, sum(map(len, inst.sets))
+    if k == 3:  # sets, 2nx vertices per item, one aux per (item vertex, set) and common
+        return nf + 2 * nx * nx + 2 * nx * members + 1
+    w = max(k - 2, 0)  # each set's near-clique, and each wrapped edge's fresh vertices
+    wrapped = nf * (w * (w - 1) // 2 - 1) + 2 * w * members + nf
+    return 2 * nx + nf * w + w * wrapped + 1
+
+
 def unsaturated_item_targets(rg: LabeledReductionGraph) -> list[Edge]:
     """The edges the reduction leaves uncovered: item-to-common for k=3,
     the item edges themselves for k >= 4."""
@@ -324,10 +336,9 @@ def goodify_3(rg: LabeledReductionGraph, c: CompletionSet) -> CompletionSet:
     if rg.k != 3:
         raise InputError("this rewrite applies to the k=3 construction")
     bought = _AnchorPurchase(rg, c, 3)
-    cset = c.as_set()
     for i, ids in enumerate(rg.item_ids):
         blob = set(ids)
-        if any(u in blob and v in blob for (u, v) in cset):
+        if any(u in blob and v in blob for (u, v) in c):
             bought.buy(min(rg.covering_sets(i)))
     bought.buy_anchors_in(c)
     for i, ids in enumerate(rg.item_ids):
@@ -349,10 +360,7 @@ def goodify_k(rg: LabeledReductionGraph, c: CompletionSet, k: int) -> Completion
         ju, jv = vertex_set.get(u), vertex_set.get(v)
         if ju is not None and jv is not None and ju != jv:
             bought.buy(min(ju, jv))
-    added: dict[int, set[int]] = {}  # the input's pairs by endpoint
-    for u, v in c:
-        added.setdefault(u, set()).add(v)
-        added.setdefault(v, set()).add(u)
+    added = neighbour_sets(c)  # the input's pairs by endpoint
     orig = rg.graph.edges
     while True:
         unsat = [
@@ -389,28 +397,23 @@ def extract_set_cover(rg: LabeledReductionGraph, good: CompletionSet) -> list[in
         if e not in anchors:
             raise InputError(f"edge {e} is not an anchor edge")
         chosen.add(anchors[e])
-    uncovered = [
-        i for i in range(rg.item_count) if not chosen.intersection(rg.covering_sets(i))
-    ]
-    if uncovered:
-        raise InputError(f"items {uncovered} are not covered by the chosen sets")
+    _check_cover(rg, chosen)
     return sorted(chosen)
 
 
 def completion_from_cover(rg: LabeledReductionGraph, cover: Iterable[int]) -> CompletionSet:
     """Anchor edges of the given sets; the cover must hit every item."""
     chosen = sorted(set(cover))
-    for j in chosen:
-        if not 0 <= j < rg.set_count:
-            raise InputError(f"set index {j} out of range")
-    uncovered = [
-        i
-        for i in range(rg.item_count)
-        if not set(chosen).intersection(rg.covering_sets(i))
-    ]
+    completion = CompletionSet(rg.anchor_edge(j) for j in chosen)  # refuses a bad index
+    _check_cover(rg, set(chosen))
+    return completion
+
+
+def _check_cover(rg: LabeledReductionGraph, chosen: set[int]) -> None:
+    """Refuse a choice of sets that leaves some item uncovered."""
+    uncovered = [i for i in range(rg.item_count) if not chosen.intersection(rg.covering_sets(i))]
     if uncovered:
-        raise InputError(f"items {uncovered} are not covered")
-    return CompletionSet(rg.anchor_edge(j) for j in chosen)
+        raise InputError(f"items {uncovered} are not covered by the chosen sets")
 
 
 def build_spider(inst: ThreePartitionInstance) -> Graph:

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
-from .graph import CompletionSet, Edge, Graph, components, norm_edge
+from .graph import CompletionSet, Edge, Graph, components, neighbour_sets, norm_edge
 
 
 @dataclass(frozen=True)
@@ -221,14 +221,6 @@ def worst_case_spider(n: int) -> Graph:
     return spider_graph(legs)
 
 
-@dataclass(frozen=True)
-class SubforestCut:
-    """A connected-by-parts piece extracted from a forest: at most k vertices."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-
 class _ForestPool:
     """Residual forest with components indexed for deterministic extraction.
 
@@ -250,10 +242,7 @@ class _ForestPool:
     """
 
     def __init__(self, n: int, edges: Iterable[Edge], k: int):
-        self.adj: dict[int, set[int]] = {}
-        for u, v in edges:
-            self.adj.setdefault(u, set()).add(v)
-            self.adj.setdefault(v, set()).add(u)
+        self.adj = neighbour_sets(edges)
         # sorted neighbour lists; entries of nbrs[v] before scan[v] are gone edges
         self.nbrs = {v: sorted(ws) for v, ws in self.adj.items()}
         self.scan = [0] * n
@@ -293,9 +282,6 @@ class _ForestPool:
                 return min_id, cid
             heapq.heappop(heap)
         return None
-
-    def empty(self) -> bool:
-        return self._peek(self.any_heap) is None
 
     def smallest_id_comp(self) -> int | None:
         got = self._peek(self.any_heap)
@@ -428,25 +414,6 @@ def _extract_step(pool: _ForestPool, k: int) -> tuple[list[int], list[Edge]]:
     return sorted(vertices), sorted(edges)
 
 
-def extract_maximal_k_subforest(f: Graph, k: int) -> SubforestCut:
-    """Largest extractable piece of a forest with at most k vertices.
-
-    Prefers a k-vertex subtree of a single component; otherwise packs whole
-    components by ascending min vertex id and finishes with a carved subtree,
-    never leaving room for another non-trivial piece.
-    """
-    if k < 2:
-        raise InputError(f"subforest size k must be >= 2, got {k}")
-    if f.m == 0:
-        raise InputError("forest has no edges to extract")
-    comps = f.components()
-    if f.m != f.n - len(comps):
-        raise InputError("input is not a forest")
-    pool = _ForestPool(f.n, f.edges, k)
-    vertices, edges = _extract_step(pool, k)
-    return SubforestCut(vertices=tuple(vertices), edges=tuple(edges))
-
-
 def _pad_vertices(chosen: Iterable[int], n: int, want: int) -> list[int]:
     have = set(chosen)
     pads: list[int] = []
@@ -474,7 +441,7 @@ def _clique_cover_loop(
     """
     pool = _ForestPool(n, forest_edges, k)
     covered: list[int] = []
-    while not pool.empty():
+    while pool.smallest_id_comp() is not None:
         vertices, edges = _extract_step(pool, k)
         if len(vertices) < k:
             vertices = sorted(vertices + _pad_vertices(vertices, n, k - len(vertices)))
@@ -486,30 +453,17 @@ def _clique_cover_loop(
     return covered, pool.explored
 
 
-@dataclass(frozen=True)
-class CliqueCoverTrace:
-    completion: CompletionSet
-    covered_per_iteration: tuple[int, ...]
-    explored: int  # vertices visited by the forest pool's component searches
-
-
-def approx_tree_k_trace(t: RootedTree, k: int) -> CliqueCoverTrace:
-    """approx_tree_k plus the per-iteration count of covered tree edges."""
+def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
+    """Cover every tree edge by a k-clique using at most 8/3 times the minimum
+    number of additions."""
     g = t.base
     if k < 5:
         raise InputError(f"this solver needs k >= 5, got {k}")
     if g.n < k:
         raise InputError(f"tree has {g.n} vertices, needs at least k={k}")
-    occupied = set(g.edges)
     additions: list[Edge] = []
-    covered, explored = _clique_cover_loop(g.n, g.edges, k, occupied, additions)
-    return CliqueCoverTrace(CompletionSet(additions), tuple(covered), explored)
-
-
-def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
-    """Cover every tree edge by a k-clique using at most 8/3 times the minimum
-    number of additions."""
-    return approx_tree_k_trace(t, k).completion
+    _clique_cover_loop(g.n, g.edges, k, set(g.edges), additions)
+    return CompletionSet(additions)
 
 
 def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSet:
@@ -642,10 +596,7 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
 
 def _check_banked_shape(banked: list[Edge]) -> None:
     """The banked forest must consist of single edges plus at most one 2-edge path."""
-    adj: dict[int, set[int]] = {}
-    for u, v in banked:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    adj = neighbour_sets(banked)
     sizes = sorted(len(c) for c in components(adj, adj))
     if sizes and sizes[-1] > 3:
         raise AssertionError("banked component larger than a 2-edge path")

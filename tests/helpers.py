@@ -18,8 +18,10 @@ from kcover import (
     LabeledReductionGraph,
     RootedTree,
     SetCoverInstance,
+    approx_tree_k,
     validate_completion,
 )
+from kcover.trees import _clique_cover_loop
 
 
 def path_graph(n: int) -> Graph:
@@ -38,6 +40,11 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, list(combinations(range(n), 2)))
 
 
+def common_neighbours(g: Graph, u: int, v: int) -> list[int]:
+    """The vertices forming a triangle with the pair (u, v), in ascending order."""
+    return sorted(set(g.adj[u]) & set(g.adj[v]))
+
+
 def rooted(g: Graph) -> RootedTree:
     return RootedTree.from_graph(g)
 
@@ -49,6 +56,17 @@ def nonedges(g: Graph) -> list[tuple[int, int]]:
         for v in range(u + 1, g.n)
         if not g.has_edge(u, v)
     ]
+
+
+def cover_trace(g: Graph, k: int) -> tuple[CompletionSet, list[int], int]:
+    """approx_tree_k's completion of the tree g, plus what its clique-cover loop
+    reports: the tree edges covered at each iteration and the vertices the
+    forest pool explored."""
+    additions: list[tuple[int, int]] = []
+    covered, explored = _clique_cover_loop(g.n, g.edges, k, set(g.edges), additions)
+    completion = approx_tree_k(RootedTree.from_graph(g), k)
+    assert completion == CompletionSet(additions)
+    return completion, covered, explored
 
 
 def naive_min_completion(g: Graph, spec: CoverSpec) -> CompletionSet:
@@ -114,12 +132,9 @@ def brute_is_chordal(g: Graph) -> bool:
     """No induced cycle of length four or more."""
     for size in range(4, g.n + 1):
         for subset in combinations(range(g.n), size):
-            sub, _ = g.induced(subset)
-            if (
-                sub.m == size
-                and all(sub.degree(v) == 2 for v in range(size))
-                and sub.is_connected()
-            ):
+            new = {v: i for i, v in enumerate(subset)}
+            sub = Graph(size, [(new[u], new[v]) for u, v in g.edges if u in new and v in new])
+            if sub.m == size and all(len(a) == 2 for a in sub.adj) and sub.is_connected():
                 return False
     return True
 
@@ -141,7 +156,7 @@ def pad_with_decoys(
 ) -> CompletionSet:
     """Pad a good completion with random non-edges, keeping it valid."""
     chosen = list(base)
-    pool = [e for e in nonedges(rg.graph) if e not in base.as_set()]
+    pool = [e for e in nonedges(rg.graph) if e not in base]
     rng.shuffle(pool)
     for decoy in pool[:6]:
         trial = CompletionSet(chosen + [decoy])

@@ -39,13 +39,12 @@ from kcover import (
     optimal_tree_31,
     partition_from_edge_partition,
     spider_leg_edges,
-    triangle_vertices,
     unsaturated_item_targets,
     validate_completion,
     worst_case_spider,
 )
 
-from helpers import pad_with_decoys, random_cover, rooted
+from helpers import common_neighbours, pad_with_decoys, random_cover, rooted
 
 SPEC31 = CoverSpec(3, 1)
 FIG = SetCoverInstance(3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})])
@@ -273,7 +272,7 @@ def test_criterion_9_triangle_necessity(tree_corpus):
             for u, v in completion:
                 assert any(
                     g.has_edge(u, w) or g.has_edge(v, w)
-                    for w in triangle_vertices(done, (u, v))
+                    for w in common_neighbours(done, u, v)
                 ), "an oracle-optimal addition forms no triangle with a tree edge"
                 additions += 1
     _report(9, "triangle necessity", f"{additions} oracle-optimal additions checked")

@@ -6,8 +6,8 @@ from kcover import (
     CoverSpec,
     Graph,
     InputError,
+    apply_completion,
     brute_min_completion,
-    check_chordal,
     decompose_trees,
     find_bridges,
     gen_random_chordal,
@@ -44,7 +44,6 @@ def test_decompose_triangle_with_pendant():
     assert sorted(d.boundary) == [0]
     assert sorted(d.interior) == [3]
     assert sorted(d.outer) == [1, 2]
-    assert [d.label(v) for v in range(4)] == ["boundary", "outer", "outer", "interior"]
 
 
 def test_decompose_rejects_bad_inputs():
@@ -123,18 +122,11 @@ def test_optimal_chordal_rejects_non_chordal_and_disconnected():
         optimal_chordal_31(Graph(2, [(0, 1)]))
 
 
-def test_optimal_chordal_override_flag_runs_heuristically():
-    # C4 has no bridges, so the heuristic adds nothing; no exception either way
-    assert not check_chordal(cycle_graph(4)).is_chordal
-    c = optimal_chordal_31(cycle_graph(4), allow_nonchordal=True)
-    assert len(c) == 0
-
-
 def test_chordal_additions_form_triangles_with_base_edges():
     for seed in range(20):
         g = gen_random_chordal(8, 2, seed)
         c = optimal_chordal_31(g)
-        done = g.add_edges(c)
+        done = apply_completion(g, c)
         for u, v in c:
             assert any(
                 done.has_edge(u, w) and done.has_edge(v, w)

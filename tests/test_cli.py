@@ -366,7 +366,7 @@ def test_gen_families(tmp_path, capsys, quiet_env):
     assert read_graph(out).n == 6
 
     assert main(["gen", "worst-spider", "--n", "15", "--out", str(out)]) == 0
-    assert read_graph(out).degree(0) == 7
+    assert len(read_graph(out).adj[0]) == 7
 
     assert main(["gen", "setcover", "--items", "3", "--sets", "4", "--out", str(out)]) == 0
     inst = parse_setcover_json(out.read_text())
@@ -386,56 +386,55 @@ def test_gen_usage_errors(tmp_path, capsys, quiet_env):
     capsys.readouterr()
 
 
-EXPECTED_HEADER = "instance_id,n,k,l,alg,alg_size,lower_bound,ratio,elapsed_ms"
-
-
-def test_bench_csv_schema_and_determinism(tmp_path, capsys, quiet_env):
-    csvs = []
-    for name in ("one.csv", "two.csv"):
-        path = tmp_path / name
-        code = main([
-            "bench", "--alg", "tree-approx4", "--n", "60",
-            "--trials", "5", "--seed", "1", "--csv", str(path),
-        ])
-        assert code == 0
-        csvs.append(path.read_text().splitlines())
-    assert csvs[0][0] == EXPECTED_HEADER
-    assert len(csvs[0]) == 6
-
-    for row_a, row_b in zip(csvs[0][1:], csvs[1][1:]):
-        # identical except for the timing column
-        assert row_a.rsplit(",", 1)[0] == row_b.rsplit(",", 1)[0]
-
-    for row in csvs[0][1:]:
-        cols = row.split(",")
-        assert cols[0].startswith("tree-approx4-n60-t")
-        assert cols[1] == "60" and cols[2] == "4" and cols[3] == "1"
-        assert int(cols[5]) <= 2 * 59
-        ratio = cols[7]
-        assert len(ratio.split(".")[1]) == 6
-    capsys.readouterr()
-
-
-def test_bench_requires_k_for_generic_approx(tmp_path, capsys, quiet_env):
-    code = main([
-        "bench", "--alg", "tree-approx", "--n", "30",
-        "--trials", "2", "--seed", "0", "--csv", str(tmp_path / "x.csv"),
-    ])
-    assert code == 1
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("alg", list(SOLVERS))
-def test_bench_reports_what_solve_adds(tmp_path, capsys, quiet_env, alg):
-    n, seed = 40, 7
-    k_flags = ["--k", "5"] if SOLVERS[alg][0] is None else []
-    gpath, cpath, csv_path = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "b.csv"
-    write_graph(gpath, gen_random_tree(n, seed))
+def test_check_accepts_what_each_solver_writes(tmp_path, capsys, quiet_env, alg):
+    k = SOLVERS[alg][0] or 5
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    write_graph(gpath, gen_random_tree(40, 7))
+    k_flags = ["--k", str(k)] if SOLVERS[alg][0] is None else []
     assert main(["solve", "--alg", alg, "--in", str(gpath), "--out", str(cpath), *k_flags]) == 0
-    assert main([
-        "bench", "--alg", alg, "--n", str(n), "--trials", "1", "--seed", str(seed),
-        "--csv", str(csv_path), *k_flags,
-    ]) == 0
-    row = csv_path.read_text().splitlines()[1].split(",")
-    assert row[4] == alg and int(row[5]) == len(read_completion(cpath))
+    check = ["check", "--k", str(k), "--graph", str(gpath), "--completion", str(cpath)]
+    assert main(check) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("OK:")
+
+
+OVER_THE_CAP = {
+    "tree": (["gen", "tree", "--n", "1001"], None),
+    "chordal": (["gen", "chordal", "--n", "1001"], None),
+    "worst-spider": (["gen", "worst-spider", "--n", "1001"], None),
+    "spider": (["gen", "spider", "--legs", "600,400"], None),
+    "3partition": (["reduce", "3partition"], {"s": 2000, "values": [600, 700, 700]}),
+    # 1 set vertex, 20 items of 40 vertices, 40 aux per item and the common one: 1602
+    "setcover-k3": (["reduce", "setcover"], {"universe": 20, "sets": [list(range(20))]}),
+    # 60 item endpoints, 4 set vertices, 4 fresh ones for each of 246 wrapped edges, common: 1049
+    "setcover-k6": (["reduce", "setcover", "--k", "6"], {"universe": 30, "sets": [list(range(30))]}),
+}
+
+
+def _run_writing(tmp_path, argv, inst) -> int:
+    out = tmp_path / "out.txt"
+    if inst is None:
+        return main([*argv, "--out", str(out)])
+    (tmp_path / "in.json").write_text(json.dumps(inst))
+    return main([*argv, "--in", str(tmp_path / "in.json"), "--out-graph", str(out),
+                 "--out-roles", str(tmp_path / "roles.json")])
+
+
+@pytest.mark.parametrize("case", list(OVER_THE_CAP))
+def test_commands_refuse_a_graph_over_the_vertex_cap(tmp_path, capsys, quiet_env, monkeypatch, case):
+    # the cap is lowered so that the refused graphs stay small: without the
+    # check these commands build and write them and exit 0
+    monkeypatch.setattr(io, "MAX_VERTICES", 1000)
+    assert _run_writing(tmp_path, *OVER_THE_CAP[case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the graph to write would have n=") and "at most 1000" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_commands_write_a_graph_at_the_vertex_cap(tmp_path, capsys, quiet_env, monkeypatch):
+    monkeypatch.setattr(io, "MAX_VERTICES", 1602)
+    assert _run_writing(tmp_path, ["gen", "tree", "--n", "1602"], None) == 0
+    assert read_graph(tmp_path / "out.txt").n == 1602
+    assert _run_writing(tmp_path, *OVER_THE_CAP["setcover-k3"]) == 0
+    assert read_graph(tmp_path / "out.txt").n == 1602
     capsys.readouterr()

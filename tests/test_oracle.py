@@ -51,7 +51,7 @@ def test_oracle_on_path_five():
 
 def test_oracle_on_star():
     res = brute_min_completion(star_graph(4), CoverSpec(3, 1))
-    assert res.ok and res.completion.as_set() == {(1, 2), (1, 3)}
+    assert res.ok and set(res.completion) == {(1, 2), (1, 3)}
     res4 = brute_min_completion(star_graph(4), CoverSpec(4, 1))
     assert res4.ok and len(res4.completion) == 3
 
@@ -99,7 +99,7 @@ def _random_connected(n: int, seed: int) -> Graph:
     g = gen_random_tree(n, seed)
     pool = nonedges(g)
     rng.shuffle(pool)
-    return g.add_edges(pool[: rng.randint(0, 3)])
+    return Graph(n, list(g.edges) + pool[: rng.randint(0, 3)])
 
 
 NAIVE_SPECS = tuple(
@@ -161,6 +161,25 @@ def test_oracle_node_count_on_a_nine_vertex_tree():
     )
     assert res.ok and len(res.completion) == 15
     assert res.nodes <= 300_000
+
+
+def test_oracle_clique_threshold_search_stops_at_n(monkeypatch):
+    # No edge of a 4-vertex graph lies in more than C(2, 1) = 2 triangles.
+    # The search for c_min tries one candidate per comb call; counting up
+    # to l = 3,000,000 would take seconds, so the wrapper stops it early.
+    calls = []
+
+    def counting_comb(n, k):
+        calls.append(n)
+        assert len(calls) <= 300, "the c_min search is counting up to l"
+        return math.comb(n, k)
+
+    monkeypatch.setattr(oracle, "comb", counting_comb)
+    spec = CoverSpec(3, 3_000_000)
+    # with c_min = n - 1 = 3 every vertex needs degree 4: (3 + 2 + 2 + 3) / 2
+    assert deepening_start(path_graph(4), spec) == 5
+    res = brute_min_completion(path_graph(4), spec, OracleBudget(max_additions=8))
+    assert (res.status, res.lower_bound) == ("inconclusive", 9)
 
 
 def test_oracle_respects_tree_lower_bound():

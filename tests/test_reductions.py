@@ -22,12 +22,13 @@ from kcover import (
     spider_graph,
     spider_leg_edges,
     spider_leg_vertices,
-    triangle_vertices,
     unsaturated_item_targets,
     validate_completion,
 )
 
-from helpers import pad_with_decoys, random_cover
+from kcover.reductions import setcover_gadget_order
+
+from helpers import common_neighbours, pad_with_decoys, random_cover
 
 FIG = SetCoverInstance(3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})])
 MICRO = SetCoverInstance(1, [frozenset({0})])
@@ -49,9 +50,27 @@ def test_setcover_instance_validation():
         SetCoverInstance(1, [{0}], budget=0)
 
 
+def test_setcover_instance_names_a_few_uncovered_items():
+    with pytest.raises(InputError, match=r"^3 of 6 items are not covered by any set, the first \[1, 3, 4\]$"):
+        SetCoverInstance(6, [{0, 2}, {5}])
+    # a large universe is reported by count, not listed item by item
+    with pytest.raises(InputError) as err:
+        SetCoverInstance(10**6, [{0}])
+    assert str(err.value) == (
+        "999999 of 1000000 items are not covered by any set, the first [1, 2, 3, 4, 5]"
+    )
+
+
+def test_setcover_gadget_order_matches_the_built_graphs():
+    for seed in range(6):
+        inst = gen_random_setcover(2 + seed % 3, 1 + seed % 4, 0.5, seed)
+        for k in (3, 4, 5, 6):
+            rg = build_setcover_k3(inst) if k == 3 else build_setcover_k(inst, k)
+            assert setcover_gadget_order(inst, k) == rg.graph.n
+
+
 def test_three_partition_instance_validation():
     inst = ThreePartitionInstance(10, (3, 3, 4, 4, 3, 3))
-    assert inst.groups == 2
     with pytest.raises(InputError):
         ThreePartitionInstance(10, (3, 3, 4, 4, 3))  # not a multiple of 3
     with pytest.raises(InputError):
@@ -121,7 +140,7 @@ def test_reduction_k4_set_subgraph_misses_one_edge():
     assert not rg.graph.has_edge(s1, s2)
     assert rg.anchor_edge(0) == (s1, s2)
     # triangle vertices of the item edge are exactly the covering subgraph's
-    assert triangle_vertices(rg.graph, rg.item_ids[0]) == [s1, s2]
+    assert common_neighbours(rg.graph, *rg.item_ids[0]) == [s1, s2]
 
 
 def test_reduction_k_item_edge_triangles_stay_inside_covering_sets():
@@ -131,13 +150,13 @@ def test_reduction_k_item_edge_triangles_stay_inside_covering_sets():
             rg = build_setcover_k(inst, k)
             for i, item in enumerate(rg.item_ids):
                 allowed = {v for j in rg.covering_sets(i) for v in rg.set_ids[j]}
-                assert set(triangle_vertices(rg.graph, item)) <= allowed
+                assert set(common_neighbours(rg.graph, *item)) <= allowed
 
 
 def test_goodify_3_keeps_good_completions():
     rg = build_setcover_k3(FIG)
     good = completion_from_cover(rg, [0, 1])
-    assert goodify_3(rg, good).as_set() == good.as_set()
+    assert set(goodify_3(rg, good)) == set(good)
 
 
 def test_goodify_3_random_completions():
@@ -224,7 +243,7 @@ def test_extract_set_cover_round_trip():
 def test_completion_from_cover():
     rg = build_setcover_k3(FIG)
     c = completion_from_cover(rg, [0, 1])
-    assert c.as_set() == {(0, 51), (1, 51)}
+    assert set(c) == {(0, 51), (1, 51)}
     assert validate_completion(rg.graph, c, CoverSpec(3, 1)).ok
     with pytest.raises(InputError):
         completion_from_cover(rg, [2])  # leaves item 0 uncovered

@@ -15,9 +15,7 @@ from kcover import (
     RootedTree,
     approx_tree_4,
     approx_tree_k,
-    approx_tree_k_trace,
     brute_min_completion,
-    extract_maximal_k_subforest,
     gen_random_tree,
     optimal_tree_31,
     p3_partition,
@@ -26,8 +24,9 @@ from kcover import (
     worst_case_spider,
 )
 from kcover.io import format_completion
+from kcover.trees import _extract_step, _ForestPool
 
-from helpers import path_graph, rooted, star_graph, valid_p3_partition
+from helpers import cover_trace, path_graph, rooted, star_graph, valid_p3_partition
 
 
 def test_rooted_tree_from_path():
@@ -102,10 +101,10 @@ def test_optimal_tree_31_examples():
     assert list(optimal_tree_31(rooted(path_graph(3)))) == [(0, 2)]
 
     p5 = optimal_tree_31(rooted(path_graph(5)))
-    assert p5.as_set() == {(0, 2), (2, 4)}
+    assert set(p5) == {(0, 2), (2, 4)}
 
     star = optimal_tree_31(rooted(star_graph(4)))
-    assert star.as_set() == {(1, 2), (1, 3)}
+    assert set(star) == {(1, 2), (1, 3)}
 
     with pytest.raises(InputError):
         optimal_tree_31(rooted(path_graph(2)))
@@ -133,18 +132,18 @@ def test_spider_graph_layout():
 
 def test_worst_case_spider_shapes():
     g15 = worst_case_spider(15)
-    assert g15.n == 15 and g15.degree(0) == 7
-    assert sorted(g15.degree(v) for v in range(15)).count(1) == 7
+    assert g15.n == 15 and len(g15.adj[0]) == 7
+    assert sorted(map(len, g15.adj)).count(1) == 7
 
     g5 = worst_case_spider(5)
-    assert g5.degree(0) == 2 and g5.m == 4
+    assert len(g5.adj[0]) == 2 and g5.m == 4
 
     g6 = worst_case_spider(6)  # two 2-edge legs plus one 1-edge leg
-    assert g6.degree(0) == 3 and g6.m == 5
-    assert sorted(g6.degree(v) for v in range(6)) == [1, 1, 1, 2, 2, 3]
+    assert len(g6.adj[0]) == 3 and g6.m == 5
+    assert sorted(map(len, g6.adj)) == [1, 1, 1, 2, 2, 3]
 
     g4 = worst_case_spider(4)
-    assert g4.degree(0) == 2
+    assert len(g4.adj[0]) == 2
 
     with pytest.raises(InputError):
         worst_case_spider(3)
@@ -163,59 +162,54 @@ def _random_forest(seed: int) -> Graph:
     return Graph(base, edges)
 
 
+def _first_cut(f: Graph, k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The vertices and edges of the first piece approx_tree_k's loop takes from f."""
+    return _extract_step(_ForestPool(f.n, f.edges, k), k)
+
+
 def test_extract_subforest_examples():
-    cut = extract_maximal_k_subforest(Graph(2, [(0, 1)]), 4)
-    assert cut.vertices == (0, 1) and cut.edges == ((0, 1),)
+    assert _first_cut(Graph(2, [(0, 1)]), 4) == ([0, 1], [(0, 1)])
 
     # One component with >= 7 vertices: a 7-vertex subtree of it.
     big = Graph(11, [(i, i + 1) for i in range(8)] + [(9, 10)])
-    cut = extract_maximal_k_subforest(big, 7)
-    assert cut.vertices == (0, 1, 2, 3, 4, 5, 6) and len(cut.edges) == 6
+    vertices, edges = _first_cut(big, 7)
+    assert vertices == [0, 1, 2, 3, 4, 5, 6] and len(edges) == 6
 
     # Two components of 5 vertices each, k=7: whole first + 2 carved vertices.
     two = Graph(10, [(i, i + 1) for i in range(4)] + [(i, i + 1) for i in range(5, 9)])
-    cut = extract_maximal_k_subforest(two, 7)
-    assert cut.vertices == (0, 1, 2, 3, 4, 5, 6)
-    assert set(cut.edges) == {(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)}
-
-
-def test_extract_subforest_rejects_bad_inputs():
-    with pytest.raises(InputError):
-        extract_maximal_k_subforest(Graph(3, []), 4)
-    with pytest.raises(InputError):
-        extract_maximal_k_subforest(Graph(3, [(0, 1), (1, 2), (0, 2)]), 4)
-    with pytest.raises(InputError):
-        extract_maximal_k_subforest(Graph(2, [(0, 1)]), 1)
+    vertices, edges = _first_cut(two, 7)
+    assert vertices == [0, 1, 2, 3, 4, 5, 6]
+    assert set(edges) == {(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)}
 
 
 def test_extract_subforest_maximality_random():
     for seed in range(60):
         f = _random_forest(seed)
         k = 2 + seed % 6
-        cut = extract_maximal_k_subforest(f, k)
-        verts = set(cut.vertices)
+        vertices, edges = _first_cut(f, k)
+        verts = set(vertices)
         assert len(verts) <= k
-        assert set(cut.edges) <= f.edges
-        touched = {v for e in cut.edges for v in e}
+        assert set(edges) <= f.edges
+        touched = {v for e in edges for v in e}
         assert touched == verts  # every chosen vertex lies on a chosen edge
         # maximal: either the budget cannot hold another K2, or nothing is left
         budget = k - len(verts)
-        assert budget <= 1 or set(cut.edges) == f.edges
+        assert budget <= 1 or set(edges) == f.edges
 
 
 def test_approx_tree_k_frozen_paths():
     p5 = path_graph(5)
-    trace = approx_tree_k_trace(rooted(p5), 5)
-    assert len(trace.completion) == 6
-    assert trace.covered_per_iteration == (4,)
-    assert validate_completion(p5, trace.completion, CoverSpec(5, 1)).ok
+    completion, covered, _ = cover_trace(p5, 5)
+    assert len(completion) == 6
+    assert covered == [4]
+    assert validate_completion(p5, completion, CoverSpec(5, 1)).ok
 
     p9 = path_graph(9)
-    trace = approx_tree_k_trace(rooted(p9), 5)
-    assert len(trace.completion) == 12
-    assert trace.covered_per_iteration == (4, 4)
-    assert validate_completion(p9, trace.completion, CoverSpec(5, 1)).ok
-    assert validate_completion(p9, trace.completion, CoverSpec(3, 3)).ok
+    completion, covered, _ = cover_trace(p9, 5)
+    assert len(completion) == 12
+    assert covered == [4, 4]
+    assert validate_completion(p9, completion, CoverSpec(5, 1)).ok
+    assert validate_completion(p9, completion, CoverSpec(3, 3)).ok
 
 
 def test_approx_tree_k_rejects_bad_inputs():
@@ -230,10 +224,9 @@ def test_approx_tree_k_properties_random():
         for seed in range(20):
             n = k + seed * 2
             g = gen_random_tree(n, 1000 * k + seed)
-            trace = approx_tree_k_trace(rooted(g), k)
-            assert validate_completion(g, trace.completion, CoverSpec(k, 1)).ok
-            assert validate_completion(g, trace.completion, CoverSpec(3, k - 2)).ok
-            covered = trace.covered_per_iteration
+            completion, covered, _ = cover_trace(g, k)
+            assert validate_completion(g, completion, CoverSpec(k, 1)).ok
+            assert validate_completion(g, completion, CoverSpec(3, k - 2)).ok
             assert sum(covered) == n - 1
             # every non-final iteration removes at least floor(k/2) tree edges
             assert all(c >= k // 2 for c in covered[:-1])
@@ -251,7 +244,7 @@ def test_approx_tree_k_explores_n_log_n_vertices():
         gen_random_tree(10_000, 1),
     ):
         n = g.n
-        explored = approx_tree_k_trace(rooted(g), 5).explored
+        explored = cover_trace(g, 5)[2]
         assert explored <= n * (2 * math.ceil(math.log2(n)) + 1)
 
 
@@ -261,9 +254,8 @@ def test_approx_tree_k_even_k_addition_bound():
     for seed in range(15):
         n = 2 * k + seed * 3
         g = gen_random_tree(n, seed)
-        trace = approx_tree_k_trace(rooted(g), k)
-        iterations = len(trace.covered_per_iteration)
-        assert len(trace.completion) <= iterations * math.comb(k, 2) - (n - 1)
+        completion, covered, _ = cover_trace(g, k)
+        assert len(completion) <= len(covered) * math.comb(k, 2) - (n - 1)
 
 
 # sha256 of the concatenated completions below, recorded on the original
