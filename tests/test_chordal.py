@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -14,13 +15,20 @@ from kcover import (
     gen_random_tree,
     optimal_chordal_31,
     optimal_tree_31,
+    p3_partition,
     validate_completion,
+    worst_case_spider,
 )
+from kcover.io import format_completion
 
 from helpers import complete_graph, cycle_graph, path_graph, rooted
 
 TRIANGLE_PENDANT = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)])
+
+# sha256 of the (3,1) outputs listed by _31_outputs below, recorded before the
+# tree solver's partition order was rewritten; any rewrite must reproduce it.
+GOLDEN_31_SHA256 = "001b87c5acd7de9f1fae89d492c4d410eadedcfbc952d21c3f54cce28bcdeccf"
 
 
 def test_decompose_whole_tree():
@@ -133,3 +141,25 @@ def test_chordal_additions_form_triangles_with_base_edges():
                 for w in range(g.n)
                 if w not in (u, v)
             )
+
+
+def _31_outputs():
+    """The exact (3,1) solvers' outputs on seeded trees and chordal graphs, as text."""
+    for n in (3, 4, 5, 6, 7, 9, 12, 20, 50, 200, 1000, 5000):
+        for seed in range(8):
+            t = rooted(gen_random_tree(n, seed))
+            yield repr(p3_partition(t))
+            yield format_completion(optimal_tree_31(t))
+    for n in (11, 21, 101):
+        yield format_completion(optimal_tree_31(rooted(worst_case_spider(n))))
+    for n in (4, 6, 9, 20, 100, 1000):
+        for width in (1, 2, 3):
+            for seed in range(5):
+                yield format_completion(optimal_chordal_31(gen_random_chordal(n, width, seed)))
+
+
+def test_31_solvers_golden_hash():
+    h = hashlib.sha256()
+    for text in _31_outputs():
+        h.update(text.encode())
+    assert h.hexdigest() == GOLDEN_31_SHA256
