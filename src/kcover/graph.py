@@ -66,9 +66,7 @@ class Graph:
         return components(self.adj, range(self.n))
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return len(self.components()) == 1
+        return len(self.components()) <= 1
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -238,8 +236,8 @@ def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverChe
     """Check that g plus c has a (k,l)-cover and is connected.
 
     The completed graph is never built: every edge of g + c is scanned once
-    against neighbour sets that hold g's edges and c's pairs, and the
-    components of g are merged through c's pairs.
+    against neighbour sets that hold g's edges and c's pairs.  Only when g
+    itself is disconnected are those sets searched for components.
     """
     nbr = [set(a) for a in g.adj]
     for e in c:
@@ -248,34 +246,8 @@ def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverChe
         nbr[u].add(v)
         nbr[v].add(u)
     violations = tuple(_unsaturated(nbr, chain(g.edges, c), spec))
-    connected = _joined(g.components(), c, g.n)
+    connected = g.is_connected() or len(components(nbr, range(g.n))) == 1
     return CoverCheck(ok=not violations and connected, violations=violations, connected=connected)
-
-
-def _joined(comps: list[list[int]], pairs: Iterable[Edge], n: int) -> bool:
-    """Whether the pairs join the components into one (union-find over them)."""
-    parts = len(comps)
-    if parts <= 1:
-        return True
-    comp_of = [0] * n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    root = list(range(parts))
-    for u, v in pairs:
-        a, b = comp_of[u], comp_of[v]
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        while root[b] != b:
-            root[b] = root[root[b]]
-            b = root[b]
-        if a != b:
-            root[a] = b
-            parts -= 1
-            if parts == 1:
-                return True
-    return False
 
 
 def find_bridges(g: Graph) -> list[Edge]:

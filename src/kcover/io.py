@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 from .errors import InputError
-from .graph import CompletionSet, Graph, norm_edge
+from .graph import CompletionSet, Graph
 from .reductions import (
     LabeledReductionGraph,
     Role,
@@ -87,7 +87,7 @@ def parse_completion(text: str) -> CompletionSet:
         raise InputError(
             f"file declares additions={declared} but lists {len(pairs)} pairs"
         )
-    return CompletionSet(norm_edge(u, v) for u, v in pairs)
+    return CompletionSet(pairs)
 
 
 def format_completion(c: CompletionSet) -> str:

@@ -6,6 +6,7 @@ raw non-edge subsets and are used to certify everything else at small scale.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -13,6 +14,8 @@ from math import comb
 from .errors import InputError
 from .graph import CompletionSet, CoverSpec, Edge, Graph, validate_completion
 from .reductions import SetCoverInstance
+
+log = logging.getLogger("kcover")
 
 
 class InconclusiveError(Exception):
@@ -195,7 +198,8 @@ def brute_min_completion(
     Every size below the answer is refuted, by the root's lower bound or by
     exhaustive search, so a returned optimum is exact.  Branches place one
     missing clique on the lexicographically first unsaturated edge, which
-    keeps the search deterministic.
+    keeps the search deterministic.  The visited node count and the size the
+    deepening starts at are logged at info level.
     """
     if budget is None:
         budget = OracleBudget()
@@ -204,9 +208,9 @@ def brute_min_completion(
     if not g.is_connected():
         raise InputError("search expects a connected graph")
     search = _Search(g, spec, budget.max_nodes)
-    size = search.lower_bound(search.base)
+    start = search.lower_bound(search.base)
     try:
-        for size in range(size, budget.max_additions + 1):
+        for size in range(start, budget.max_additions + 1):
             found = search.run(list(search.base), [], size, {})
             if found is not None:
                 completion = CompletionSet(found)
@@ -216,15 +220,11 @@ def brute_min_completion(
     except InconclusiveError:
         # sizes below the current one are fully refuted
         return OracleResult("inconclusive", None, size, search.nodes)
+    finally:
+        log.info("brute search visited %d nodes, deepening from size %d", search.nodes, start)
     return OracleResult(
         "inconclusive", None, budget.max_additions + 1, search.nodes
     )
-
-
-def deepening_start(g: Graph, spec: CoverSpec) -> int:
-    """The size brute_min_completion's deepening starts at: the root's bound."""
-    search = _Search(g, spec, 1)
-    return search.lower_bound(search.base)
 
 
 def brute_min_setcover(inst: SetCoverInstance, max_sets: int = 20) -> list[int]:

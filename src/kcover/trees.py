@@ -19,7 +19,7 @@ from .graph import CompletionSet, Edge, Graph, components, neighbour_sets, norm_
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A tree with parent/depth arrays; the root is its own parent."""
+    """A tree rooted at vertex 0 with parent/depth arrays; the root is its own parent."""
 
     base: Graph
     root: int
@@ -27,19 +27,16 @@ class RootedTree:
     depth: tuple[int, ...]
 
     @classmethod
-    def from_graph(cls, g: Graph, root: int = 0) -> "RootedTree":
+    def from_graph(cls, g: Graph) -> "RootedTree":
         n = g.n
         if n < 1:
             raise InputError("tree must have at least one vertex")
-        if not 0 <= root < n:
-            raise InputError(f"root {root} out of range for n={n}")
         if g.m != n - 1:
             raise InputError(f"not a tree: n={n} needs {n - 1} edges, got {g.m}")
         parent = [-1] * n
         depth = [-1] * n
-        parent[root] = root
-        depth[root] = 0
-        order = [root]
+        parent[0] = depth[0] = 0
+        order = [0]
         for v in order:
             for w in g.adj[v]:
                 if depth[w] == -1:
@@ -48,7 +45,7 @@ class RootedTree:
                     order.append(w)
         if len(order) != n:
             raise InputError("not a tree: graph is disconnected")
-        return cls(base=g, root=root, parent=tuple(parent), depth=tuple(depth))
+        return cls(base=g, root=0, parent=tuple(parent), depth=tuple(depth))
 
     def children(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.base.n)]
@@ -95,15 +92,14 @@ def _pop_alive_child(heap: list[int], alive: list[bool], skip: int = -1) -> int 
     return None
 
 
-def _residual_index(t: RootedTree) -> tuple[list[int], list[list[int]], DepthIndex]:
-    """Each vertex's child count, a consume-only heap of its children, and an
-    empty depth index over t.
+def _residual_index(t: RootedTree) -> tuple[list[int], list[list[int]]]:
+    """Each vertex's child count and a consume-only heap of its children.
 
     children() lists every vertex's children in ascending order, which is
     already a min-heap.
     """
     child_heap = t.children()
-    return [len(h) for h in child_heap], child_heap, DepthIndex(t.depth, max(t.depth))
+    return [len(h) for h in child_heap], child_heap
 
 
 def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
@@ -119,21 +115,19 @@ def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
         raise InputError("edge partition needs at least 3 vertices")
     parent = t.parent
     alive = [True] * n
-    child_count, child_heap, idx = _residual_index(t)
-    for v in range(n):
-        idx.push(v, 0)  # no priority needed; ties resolve to the lowest id
+    child_count, child_heap = _residual_index(t)
     live = n
     groups: list[tuple[Edge, ...]] = []
-    while live >= 2:
-        got = idx.pop_deepest(lambda node, key: alive[node])
-        assert got is not None
-        v = got[0]
+    # deepest first, ties to the lowest id (the sort is stable)
+    for v in sorted(range(n), key=t.depth.__getitem__, reverse=True):
+        if live < 2:
+            break
+        if not alive[v]:
+            continue
         u = parent[v]
         # the deepest alive vertex is a leaf of the residual tree
         if live == 2:
             groups.append((norm_edge(u, v),))
-            alive[u] = alive[v] = False
-            live -= 2
             break
         if child_count[u] >= 2:
             v1 = _pop_alive_child(child_heap[u], alive, skip=v)
@@ -225,8 +219,9 @@ class _ForestPool:
     """Residual forest with components indexed for deterministic extraction.
 
     Components are tracked by min vertex id and bucketed by size so each
-    extraction step can find either the smallest-id component overall or the
-    smallest-id component with at least `budget` vertices.
+    extraction step can find the smallest-id component with at least
+    `budget` vertices.  Every component has at least two, so a budget of 2
+    finds the smallest-id component overall.
 
     A carve deletes the edges inside the chosen subtree; every chosen vertex
     that keeps an edge roots one residual piece.  The pieces are explored in
@@ -255,7 +250,6 @@ class _ForestPool:
         # so an entry is live while its size matches the record's.  Size
         # buckets: exact sizes 2..k-1 plus one bucket for >= k
         self.by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
-        self.any_heap: list[tuple[int, int, int]] = []
         self.explored = len(self.adj)
         for comp in components(self.adj, self.adj):
             self._register(comp)
@@ -270,9 +264,7 @@ class _ForestPool:
 
     def _push(self, cid: int) -> None:
         verts, lo, size = self.comps[cid]
-        entry = (verts[lo], size, cid)
-        heapq.heappush(self.by_size[min(size, self.k)], entry)
-        heapq.heappush(self.any_heap, entry)
+        heapq.heappush(self.by_size[min(size, self.k)], (verts[lo], size, cid))
 
     def _peek(self, heap: list[tuple[int, int, int]]) -> tuple[int, int] | None:
         while heap:
@@ -282,10 +274,6 @@ class _ForestPool:
                 return min_id, cid
             heapq.heappop(heap)
         return None
-
-    def smallest_id_comp(self) -> int | None:
-        got = self._peek(self.any_heap)
-        return got[1] if got else None
 
     def smallest_id_comp_at_least(self, budget: int) -> int | None:
         best: tuple[int, int] | None = None
@@ -404,7 +392,7 @@ def _extract_step(pool: _ForestPool, k: int) -> tuple[list[int], list[Edge]]:
             vertices += vs
             edges += es
             break
-        cid = pool.smallest_id_comp()
+        cid = pool.smallest_id_comp_at_least(2)
         if cid is None:
             break
         vs, es = pool.take_whole(cid)
@@ -441,7 +429,7 @@ def _clique_cover_loop(
     """
     pool = _ForestPool(n, forest_edges, k)
     covered: list[int] = []
-    while pool.smallest_id_comp() is not None:
+    while pool.smallest_id_comp_at_least(2) is not None:
         vertices, edges = _extract_step(pool, k)
         if len(vertices) < k:
             vertices = sorted(vertices + _pad_vertices(vertices, n, k - len(vertices)))
@@ -482,7 +470,8 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
         raise InputError(f"tree has {n} vertices, needs at least 4")
     parent = t.parent
     alive = [True] * n
-    child_count, child_heap, idx = _residual_index(t)
+    child_count, child_heap = _residual_index(t)
+    idx = DepthIndex(t.depth, max(t.depth))
     for v in range(n):
         if child_count[v]:
             idx.push(v, child_count[v])

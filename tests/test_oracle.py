@@ -20,7 +20,6 @@ from kcover import (
 )
 
 from kcover import oracle
-from kcover.oracle import deepening_start
 
 from helpers import (
     complete_graph,
@@ -136,6 +135,11 @@ def test_oracle_matches_naive_enumeration():
     assert _disagreements_with_naive() == 0
 
 
+def _root_bound(g, spec):
+    search = oracle._Search(g, spec, 1)
+    return search.lower_bound(search.base)
+
+
 def test_oracle_root_bound_is_admissible():
     for seed in range(12):
         g = _random_connected(3 + seed % 4, 100 + seed)
@@ -143,7 +147,7 @@ def test_oracle_root_bound_is_admissible():
             for l in (1, 2, 3):
                 spec = CoverSpec(k, l)
                 if _feasible(g.n, spec):
-                    assert deepening_start(g, spec) <= len(naive_min_completion(g, spec))
+                    assert _root_bound(g, spec) <= len(naive_min_completion(g, spec))
 
 
 def test_oracle_with_an_inflated_bound_disagrees_with_naive(monkeypatch):
@@ -177,7 +181,7 @@ def test_oracle_clique_threshold_search_stops_at_n(monkeypatch):
     monkeypatch.setattr(oracle, "comb", counting_comb)
     spec = CoverSpec(3, 3_000_000)
     # with c_min = n - 1 = 3 every vertex needs degree 4: (3 + 2 + 2 + 3) / 2
-    assert deepening_start(path_graph(4), spec) == 5
+    assert _root_bound(path_graph(4), spec) == 5
     res = brute_min_completion(path_graph(4), spec, OracleBudget(max_additions=8))
     assert (res.status, res.lower_bound) == ("inconclusive", 9)
 

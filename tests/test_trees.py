@@ -43,8 +43,6 @@ def test_rooted_tree_rejects_non_trees():
         RootedTree.from_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(InputError):
         RootedTree.from_graph(Graph(4, [(0, 1), (2, 3)]))
-    with pytest.raises(InputError):
-        RootedTree.from_graph(path_graph(3), root=5)
 
 
 def test_depth_index_pops_deepest_bucket_with_highest_key():
