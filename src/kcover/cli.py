@@ -33,6 +33,7 @@ from .reductions import (
     goodify_3,
     goodify_k,
     setcover_gadget_order,
+    setcover_gadget_size,
 )
 from .trees import (
     RootedTree,
@@ -143,8 +144,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.construction == "setcover":
-        inst = io.parse_setcover_json(Path(args.infile).read_text())
+        inst = io.parse_setcover_json(io.read_text(args.infile))
         io.check_order(setcover_gadget_order(inst, args.k), _TO_WRITE)
+        io.check_size(setcover_gadget_size(inst, args.k), _TO_WRITE)
         rg = build_setcover_k3(inst) if args.k == 3 else build_setcover_k(inst, args.k)
         io.write_reduction(args.out_graph, args.out_roles, rg)
         log.info(
@@ -153,7 +155,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         )
         print(f"n={rg.graph.n} m={rg.graph.m}")
     else:
-        inst = io.parse_three_partition_json(Path(args.infile).read_text())
+        inst = io.parse_three_partition_json(io.read_text(args.infile))
         io.check_order(1 + sum(inst.values), _TO_WRITE)
         spider = build_spider(inst)
         io.write_graph(args.out_graph, spider)

@@ -42,12 +42,20 @@ def _parse_pair(line: str, no: int) -> tuple[int, int]:
 # adjacency for every vertex before it reads an edge, so the header is checked
 # against this cap first.
 MAX_VERTICES = 10_000_000
+# The largest edge count of a graph kcover builds to write out.
+MAX_EDGES = 10_000_000
 
 
 def check_order(n: int, source: str) -> None:
     """Refuse a vertex count above MAX_VERTICES before anything is built for it."""
     if n > MAX_VERTICES:
         raise InputError(f"{source} n={n} vertices; at most {MAX_VERTICES} are supported")
+
+
+def check_size(m: int, source: str) -> None:
+    """Refuse an edge count above MAX_EDGES before anything is built for it."""
+    if m > MAX_EDGES:
+        raise InputError(f"{source} m={m} edges; at most {MAX_EDGES} are supported")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -108,7 +116,7 @@ def _json_object(text: str, keys: tuple[str, ...]) -> dict:
     """The JSON object in text, which must hold every one of keys."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting too deep, or an integer too long
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
@@ -198,8 +206,16 @@ def format_role_map(rg: LabeledReductionGraph) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def read_text(path: str | Path) -> str:
+    """The contents of a UTF-8 text file; any other bytes are an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def read_graph(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    return parse_edge_list(read_text(path))
 
 
 def write_graph(path: str | Path, g: Graph) -> None:
@@ -207,7 +223,7 @@ def write_graph(path: str | Path, g: Graph) -> None:
 
 
 def read_completion(path: str | Path) -> CompletionSet:
-    return parse_completion(Path(path).read_text())
+    return parse_completion(read_text(path))
 
 
 def write_completion(path: str | Path, c: CompletionSet) -> None:
@@ -216,7 +232,7 @@ def write_completion(path: str | Path, c: CompletionSet) -> None:
 
 def read_reduction(graph_path: str | Path, roles_path: str | Path) -> LabeledReductionGraph:
     g = read_graph(graph_path)
-    k, roles = parse_role_map(Path(roles_path).read_text())
+    k, roles = parse_role_map(read_text(roles_path))
     return LabeledReductionGraph.from_roles(g, roles, k)
 
 

@@ -282,6 +282,16 @@ def setcover_gadget_order(inst: SetCoverInstance, k: int) -> int:
     return 2 * nx + nf * w + w * wrapped + 1
 
 
+def setcover_gadget_size(inst: SetCoverInstance, k: int) -> int:
+    """The edge count of build_setcover_k3 (k = 3) or build_setcover_k, without building it."""
+    nf, nx, members = len(inst.sets), inst.universe_size, sum(map(len, inst.sets))
+    if k == 3:  # a triangle per (item vertex, set) membership, and each item vertex to common
+        return 6 * nx * members + 2 * nx * nx
+    w = max(k - 2, 0)  # each wrapped edge brings w fresh vertices and 2w + C(w, 2) edges
+    wrapped = nf * (w * (w - 1) // 2 - 1) + 2 * w * members + nf
+    return nx + wrapped * (1 + 2 * w + w * (w - 1) // 2)
+
+
 def unsaturated_item_targets(rg: LabeledReductionGraph) -> list[Edge]:
     """The edges the reduction leaves uncovered: item-to-common for k=3,
     the item edges themselves for k >= 4."""

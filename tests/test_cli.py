@@ -5,6 +5,7 @@ import pytest
 
 from kcover import (
     SetCoverInstance,
+    ThreePartitionInstance,
     build_setcover_k,
     build_setcover_k3,
     completion_from_cover,
@@ -438,3 +439,91 @@ def test_commands_write_a_graph_at_the_vertex_cap(tmp_path, capsys, quiet_env, m
     assert _run_writing(tmp_path, *OVER_THE_CAP["setcover-k3"]) == 0
     assert read_graph(tmp_path / "out.txt").n == 1602
     capsys.readouterr()
+
+
+def test_reduce_refuses_a_gadget_over_the_edge_cap(tmp_path, capsys, quiet_env, monkeypatch):
+    # the k = 6 gadget below has 1,049 vertices and 3,720 edges; the cap is
+    # lowered so that the refused graph stays small
+    monkeypatch.setattr(io, "MAX_EDGES", 3719)
+    assert _run_writing(tmp_path, *OVER_THE_CAP["setcover-k6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the graph to write would have m=3720 edges; at most 3719")
+    assert not (tmp_path / "out.txt").exists()
+    monkeypatch.setattr(io, "MAX_EDGES", 3720)
+    assert _run_writing(tmp_path, *OVER_THE_CAP["setcover-k6"]) == 0
+    assert read_graph(tmp_path / "out.txt").m == 3720
+    capsys.readouterr()
+
+
+def _inputs() -> dict[str, str]:
+    """Valid inputs of every kind a command reads, keyed by file name."""
+    rg = build_setcover_k3(FIG)
+    return {
+        "g.txt": format_edge_list(path_graph(5)),
+        "c.txt": "0 2\n2 4\n",
+        "sc.json": format_setcover_json(FIG),
+        "tp.json": format_three_partition_json(ThreePartitionInstance(9, (3, 3, 3))),
+        "red.txt": format_edge_list(rg.graph),
+        "red.roles.json": io.format_role_map(rg),
+        "cover.txt": io.format_completion(completion_from_cover(rg, [0, 1])),
+    }
+
+
+# each command with the input file it reads that the test corrupts
+READERS = {
+    "solve": (["solve", "--alg", "tree-opt", "--in", "g.txt", "--out", "out.txt"], "g.txt"),
+    "check-graph": (["check", "--k", "3", "--graph", "g.txt", "--completion", "c.txt"], "g.txt"),
+    "check-completion": (
+        ["check", "--k", "3", "--graph", "g.txt", "--completion", "c.txt"], "c.txt"),
+    "reduce-setcover": (["reduce", "setcover", "--in", "sc.json", "--out-graph", "out.txt",
+                         "--out-roles", "out.roles.json"], "sc.json"),
+    "reduce-3partition": (
+        ["reduce", "3partition", "--in", "tp.json", "--out-graph", "out.txt"], "tp.json"),
+    "goodify-roles": (["goodify", "--graph", "red.txt", "--roles", "red.roles.json",
+                       "--completion", "cover.txt", "--out", "out.txt"], "red.roles.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(READERS))
+def test_commands_refuse_input_that_is_not_utf8(tmp_path, capsys, quiet_env, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _inputs().items():
+        (tmp_path / name).write_text(text)
+    argv, corrupt = READERS[case]
+    assert main(argv) == 0  # the intact inputs are accepted
+    capsys.readouterr()
+    data = (tmp_path / corrupt).read_bytes()
+    cut = data.index(b"\n") + 1
+    (tmp_path / corrupt).write_bytes(data[:cut] + b"\xfe" + data[cut:])
+    (tmp_path / "out.txt").unlink(missing_ok=True)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {corrupt}: byte {cut} is not UTF-8 text\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "construction, text",
+    [
+        ("setcover", "[" * 100_000),
+        ("3partition", '{"s": ' + "9" * 5000 + ', "values": [3, 3, 3]}'),
+    ],
+)
+def test_reduce_refuses_json_nested_too_deep_or_integers_too_long(
+    tmp_path, capsys, quiet_env, construction, text
+):
+    (tmp_path / "in.json").write_text(text)
+    argv = ["reduce", construction, "--in", str(tmp_path / "in.json"),
+            "--out-graph", str(tmp_path / "out.txt"), "--out-roles", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+
+def test_goodify_refuses_a_role_map_nested_too_deep(tmp_path, capsys, quiet_env):
+    rg = build_setcover_k3(FIG)
+    write_graph(tmp_path / "red.txt", rg.graph)
+    (tmp_path / "red.roles.json").write_text("[" * 100_000)
+    write_completion(tmp_path / "c.txt", completion_from_cover(rg, [0, 1]))
+    assert main(["goodify", "--graph", str(tmp_path / "red.txt"),
+                 "--roles", str(tmp_path / "red.roles.json"),
+                 "--completion", str(tmp_path / "c.txt"), "--out", str(tmp_path / "o.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")

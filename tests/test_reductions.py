@@ -26,7 +26,7 @@ from kcover import (
     validate_completion,
 )
 
-from kcover.reductions import setcover_gadget_order
+from kcover.reductions import setcover_gadget_order, setcover_gadget_size
 
 from helpers import common_neighbours, pad_with_decoys, random_cover
 
@@ -67,6 +67,7 @@ def test_setcover_gadget_order_matches_the_built_graphs():
         for k in (3, 4, 5, 6):
             rg = build_setcover_k3(inst) if k == 3 else build_setcover_k(inst, k)
             assert setcover_gadget_order(inst, k) == rg.graph.n
+            assert setcover_gadget_size(inst, k) == rg.graph.m
 
 
 def test_three_partition_instance_validation():
