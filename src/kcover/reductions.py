@@ -288,7 +288,7 @@ def setcover_gadget_size(inst: SetCoverInstance, k: int) -> int:
     if k == 3:  # a triangle per (item vertex, set) membership, and each item vertex to common
         return 6 * nx * members + 2 * nx * nx
     w = max(k - 2, 0)  # each wrapped edge brings w fresh vertices and 2w + C(w, 2) edges
-    wrapped = nf * (w * (w - 1) // 2 - 1) + 2 * w * members + nf
+    wrapped = nf * (w * (w - 1) // 2) + 2 * w * members  # as in setcover_gadget_order
     return nx + wrapped * (1 + 2 * w + w * (w - 1) // 2)
 
 
