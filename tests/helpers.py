@@ -49,6 +49,13 @@ def rooted(g: Graph) -> RootedTree:
     return RootedTree.from_graph(g)
 
 
+def permuted(g: Graph, seed: int) -> Graph:
+    """g with its vertices relabelled by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def nonedges(g: Graph) -> list[tuple[int, int]]:
     return [
         (u, v)

@@ -21,7 +21,7 @@ from kcover import (
 )
 from kcover.io import format_completion
 
-from helpers import complete_graph, cycle_graph, path_graph, rooted
+from helpers import complete_graph, cycle_graph, path_graph, permuted, rooted
 
 TRIANGLE_PENDANT = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)])
@@ -29,6 +29,12 @@ TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)
 # sha256 of the (3,1) outputs listed by _31_outputs below, recorded before the
 # tree solver's partition order was rewritten; any rewrite must reproduce it.
 GOLDEN_31_SHA256 = "001b87c5acd7de9f1fae89d492c4d410eadedcfbc952d21c3f54cce28bcdeccf"
+
+# sha256 of the bridge-tree decompositions and (3,1) completions listed by
+# _permuted_chordal_outputs below.  gen_random_chordal numbers a leaf after its
+# neighbour, so only relabelled graphs hold lone bridges whose lower endpoint
+# is the leaf (several hundred in this corpus).
+GOLDEN_PERMUTED_CHORDAL_SHA256 = "34434f2675a83f95a4c7f665ffa9915f3d24aa07a7e2dcf90e38b21422caa51b"
 
 
 def test_decompose_whole_tree():
@@ -163,3 +169,23 @@ def test_31_solvers_golden_hash():
     for text in _31_outputs():
         h.update(text.encode())
     assert h.hexdigest() == GOLDEN_31_SHA256
+
+
+def _permuted_chordal_outputs():
+    """decompose_trees and optimal_chordal_31 on seeded chordal graphs whose
+    vertices are relabelled by a seeded permutation, as text."""
+    for n in (4, 6, 9, 20, 100, 1000):
+        for width in (1, 2, 3):
+            for seed in range(6):
+                g = permuted(gen_random_chordal(n, width, seed), seed)
+                d = decompose_trees(g)
+                yield repr(d.trees)
+                yield repr(d.tree_edges)
+                yield format_completion(optimal_chordal_31(g))
+
+
+def test_permuted_chordal_golden_hash():
+    h = hashlib.sha256()
+    for text in _permuted_chordal_outputs():
+        h.update(text.encode())
+    assert h.hexdigest() == GOLDEN_PERMUTED_CHORDAL_SHA256
