@@ -56,7 +56,6 @@ from .reductions import (
     unsaturated_item_targets,
 )
 from .trees import (
-    DepthIndex,
     RootedTree,
     approx_tree_4,
     approx_tree_k,

@@ -19,21 +19,14 @@ from .trees import RootedTree, bridge_chord, optimal_tree_31
 
 @dataclass(frozen=True)
 class ChordalDecomposition:
-    """Bridge-trees of a graph plus per-vertex placement labels."""
+    """Bridge-trees of a graph: their sorted vertex lists and edge lists."""
 
     trees: tuple[tuple[int, ...], ...]
     tree_edges: tuple[tuple[Edge, ...], ...]
-    boundary: frozenset[int]
-    interior: frozenset[int]
-    outer: frozenset[int]
 
 
 def decompose_trees(g: Graph) -> ChordalDecomposition:
-    """Group the bridges of g into maximal trees.
-
-    A vertex of a tree that also meets a non-bridge edge is a boundary vertex;
-    vertices outside every tree are outer.
-    """
+    """Group the bridges of g into maximal trees."""
     if g.n < 3:
         raise InputError(f"decomposition needs at least 3 vertices, got {g.n}")
     if not g.is_connected():
@@ -44,27 +37,15 @@ def decompose_trees(g: Graph) -> ChordalDecomposition:
     tree_edges = tuple(
         tuple(sorted((v, w) for v in comp for w in adj[v] if v < w)) for comp in trees
     )
-    in_tree = set(adj)
-    boundary = frozenset(
-        v for v in in_tree if len(g.adj[v]) > len(adj[v])
-    )
-    interior = frozenset(in_tree - boundary)
-    outer = frozenset(range(g.n)) - in_tree
-    return ChordalDecomposition(
-        trees=trees,
-        tree_edges=tree_edges,
-        boundary=boundary,
-        interior=interior,
-        outer=frozenset(outer),
-    )
+    return ChordalDecomposition(trees=trees, tree_edges=tree_edges)
 
 
 def optimal_chordal_31(g: Graph) -> CompletionSet:
     """Minimum completion giving every edge of a connected chordal graph a triangle.
 
     Solves each bridge-tree independently: the tree solver for trees with at
-    least three vertices, and for a lone bridge one chord from its non-boundary
-    endpoint to a neighbor of the boundary endpoint.
+    least three vertices, and for a lone bridge one chord from an endpoint to
+    another neighbour of the other.
     """
     dec = decompose_trees(g)
     chordality = check_chordal(g)
@@ -84,10 +65,7 @@ def optimal_chordal_31(g: Graph) -> CompletionSet:
                 additions.append(e)
                 added.add(e)
         else:
-            a, b = verts
-            if a not in dec.boundary:
-                a, b = b, a
-            chord = bridge_chord(g, a, b, added)
+            chord = bridge_chord(g, *verts, added)
             additions.append(chord)
             added.add(chord)
     return CompletionSet(additions)

@@ -25,7 +25,7 @@ from .generators import (
     gen_random_tree,
 )
 from .graph import CoverSpec, validate_completion
-from .oracle import InconclusiveError, OracleBudget, brute_min_completion
+from .oracle import OracleBudget, brute_min_completion
 from .reductions import (
     build_setcover_k,
     build_setcover_k3,
@@ -278,9 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InconclusiveError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

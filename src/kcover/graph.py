@@ -6,6 +6,7 @@ with u < v.  Graphs are immutable; edits return new graphs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -293,11 +294,7 @@ def check_chordal(g: Graph) -> ChordalityResult:
     Returns the elimination order on success, or a certificate vertex whose
     later neighbors fail to form a clique under the attempted order.
     """
-    import heapq
-
     n = g.n
-    if n == 0:
-        return ChordalityResult(True, (), None)
     weight = [0] * n
     numbered = [False] * n
     heap: list[tuple[int, int]] = [(0, v) for v in range(n)]

@@ -114,11 +114,7 @@ class _Search:
 
     def _cliques_in(self, adj: list[int], mask: int, need: int, cap: int) -> int:
         # number of `need`-cliques inside `mask`, counted in ascending vertex
-        # order, stopping once `cap` is reached
-        if cap <= 0:
-            return 0
-        if need == 0:
-            return 1
+        # order, stopping once `cap` is reached; need and cap are >= 1
         if need == 1:
             count = mask.bit_count()
             return count if count < cap else cap

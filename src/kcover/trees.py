@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .graph import CompletionSet, Edge, Graph, components, neighbour_sets, norm_edge
@@ -22,7 +22,6 @@ class RootedTree:
     """A tree rooted at vertex 0 with parent/depth arrays; the root is its own parent."""
 
     base: Graph
-    root: int
     parent: tuple[int, ...]
     depth: tuple[int, ...]
 
@@ -45,42 +44,13 @@ class RootedTree:
                     order.append(w)
         if len(order) != n:
             raise InputError("not a tree: graph is disconnected")
-        return cls(base=g, root=0, parent=tuple(parent), depth=tuple(depth))
+        return cls(base=g, parent=tuple(parent), depth=tuple(depth))
 
     def children(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.base.n)]
-        for v in range(self.base.n):
-            if v != self.root:
-                out[self.parent[v]].append(v)
+        for v in range(1, self.base.n):
+            out[self.parent[v]].append(v)
         return out
-
-
-class DepthIndex:
-    """Per-depth buckets of (key, node) heap entries with lazy invalidation.
-
-    Nodes never change depth, so the deepest non-empty bucket only moves
-    toward the root.  Stale entries are filtered at pop time by the caller's
-    validity check.
-    """
-
-    def __init__(self, depth_of: Sequence[int], max_depth: int):
-        self.depth_of = depth_of
-        self.buckets: list[list[tuple[int, int]]] = [[] for _ in range(max_depth + 1)]
-        self.top = max_depth
-
-    def push(self, node: int, key: int) -> None:
-        heapq.heappush(self.buckets[self.depth_of[node]], (-key, node))
-
-    def pop_deepest(self, valid: Callable[[int, int], bool]) -> tuple[int, int] | None:
-        """Deepest bucket first, then highest key, then lowest node id."""
-        while self.top >= 0:
-            bucket = self.buckets[self.top]
-            while bucket:
-                neg_key, node = heapq.heappop(bucket)
-                if valid(node, -neg_key):
-                    return node, -neg_key
-            self.top -= 1
-        return None
 
 
 def _pop_alive_child(heap: list[int], alive: list[bool], skip: int = -1) -> int | None:
@@ -471,10 +441,14 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
     parent = t.parent
     alive = [True] * n
     child_count, child_heap = _residual_index(t)
-    idx = DepthIndex(t.depth, max(t.depth))
+    depth = t.depth
+    # per-depth heaps of (-child count, vertex); vertices never change depth,
+    # so the deepest non-empty one only moves toward the root
+    top = max(depth)
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
     for v in range(n):
         if child_count[v]:
-            idx.push(v, child_count[v])
+            heapq.heappush(buckets[depth[v]], (-child_count[v], v))
     resid: dict[int, set[int]] | None = None
     if check_invariants:
         resid = {v: set(g.adj[v]) for v in range(n)}
@@ -497,17 +471,20 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
             resid[bu].discard(bv)
             resid[bv].discard(bu)
 
-    def valid(node: int, key: int) -> bool:
-        return alive[node] and child_count[node] == key and child_count[node] > 0
-
     occupied = set(g.edges)
     additions: list[Edge] = []
     banked: list[Edge] = []
     live = n
     while live >= 4:
-        got = idx.pop_deepest(valid)
-        assert got is not None, "a residual tree on >= 4 vertices has an internal node"
-        u = got[0]
+        # deepest first, then most children, then lowest id; an entry is
+        # stale once its vertex died or its child count changed
+        while True:
+            while not buckets[top]:
+                top -= 1
+                assert top >= 0, "a residual tree on >= 4 vertices has an internal node"
+            neg_count, u = heapq.heappop(buckets[top])
+            if alive[u] and child_count[u] == -neg_count:
+                break
         vj = _pop_alive_child(child_heap[u], alive)
         assert vj is not None
         banked_pair: Edge | None = None
@@ -565,10 +542,10 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
                 occupied.add((a, b))
                 additions.append((a, b))
         if child_count[survivor] > 0:
-            idx.push(survivor, child_count[survivor])
+            heapq.heappush(buckets[depth[survivor]], (-child_count[survivor], survivor))
         cut(tree_edges, banked_pair)
     # whatever is left around the root joins the banked forest
-    stack = [t.root]
+    stack = [0]
     while stack:
         v = stack.pop()
         while True:

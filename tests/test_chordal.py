@@ -42,22 +42,16 @@ def test_decompose_whole_tree():
     d = decompose_trees(g)
     assert d.trees == ((0, 1, 2, 3, 4),)
     assert d.tree_edges == (((0, 1), (1, 2), (2, 3), (3, 4)),)
-    assert not d.boundary and not d.outer
-    assert sorted(d.interior) == [0, 1, 2, 3, 4]
 
 
 def test_decompose_two_edge_connected_graph():
     d = decompose_trees(complete_graph(4))
     assert d.trees == ()
-    assert sorted(d.outer) == [0, 1, 2, 3]
 
 
 def test_decompose_triangle_with_pendant():
     d = decompose_trees(TRIANGLE_PENDANT)
     assert d.trees == ((0, 3),)
-    assert sorted(d.boundary) == [0]
-    assert sorted(d.interior) == [3]
-    assert sorted(d.outer) == [1, 2]
 
 
 def test_decompose_rejects_bad_inputs():
@@ -76,7 +70,6 @@ def test_decomposition_agrees_with_bridges():
         on_bridge = {v for e in bridges for v in e}
         tree_vertices = {v for tr in d.trees for v in tr}
         assert tree_vertices == on_bridge
-        assert set(d.outer) == set(range(g.n)) - on_bridge
         # each tree is connected and its vertex sets are pairwise disjoint
         assert sum(len(tr) for tr in d.trees) == len(tree_vertices)
 

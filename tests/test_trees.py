@@ -8,7 +8,6 @@ import pytest
 
 from kcover import (
     CoverSpec,
-    DepthIndex,
     Graph,
     InputError,
     OracleBudget,
@@ -31,7 +30,6 @@ from helpers import cover_trace, path_graph, rooted, star_graph, valid_p3_partit
 
 def test_rooted_tree_from_path():
     t = rooted(path_graph(5))
-    assert t.root == 0
     assert t.parent == (0, 0, 1, 2, 3)
     assert t.depth == (0, 1, 2, 3, 4)
     kids = t.children()
@@ -43,27 +41,6 @@ def test_rooted_tree_rejects_non_trees():
         RootedTree.from_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(InputError):
         RootedTree.from_graph(Graph(4, [(0, 1), (2, 3)]))
-
-
-def test_depth_index_pops_deepest_bucket_with_highest_key():
-    idx = DepthIndex([0, 1, 1, 2, 2], 2)
-    for node, key in [(0, 0), (1, 5), (2, 7), (3, 1), (4, 2)]:
-        idx.push(node, key)
-    order = []
-    while (got := idx.pop_deepest(lambda node, key: True)) is not None:
-        order.append(got)
-    assert order == [(4, 2), (3, 1), (2, 7), (1, 5), (0, 0)]
-
-
-def test_depth_index_drops_stale_entries():
-    idx = DepthIndex([0, 1, 1], 1)
-    idx.push(1, 3)
-    idx.push(2, 1)
-    idx.push(1, 9)
-    live = {(1, 9), (2, 1)}
-    assert idx.pop_deepest(lambda node, key: (node, key) in live) == (1, 9)
-    assert idx.pop_deepest(lambda node, key: (node, key) in live) == (2, 1)
-    assert idx.pop_deepest(lambda node, key: True) is None
 
 
 def test_p3_partition_examples():
