@@ -19,6 +19,7 @@ from . import io
 from .chordal import optimal_chordal_31
 from .errors import InputError
 from .generators import (
+    chordal_size_bound,
     gen_random_3partition,
     gen_random_chordal,
     gen_random_setcover,
@@ -180,6 +181,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "tree":
         io.write_graph(args.out, gen_random_tree(args.n, args.seed))
     elif args.family == "chordal":
+        io.check_size(chordal_size_bound(args.n, args.width), "the graph to write could have")
         io.write_graph(args.out, gen_random_chordal(args.n, args.width, args.seed))
     elif args.family == "spider":
         io.check_order(1 + sum(args.legs), _TO_WRITE)

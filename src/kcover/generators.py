@@ -75,6 +75,13 @@ def gen_random_chordal(n: int, width: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def chordal_size_bound(n: int, width: int) -> int:
+    """The most edges gen_random_chordal(n, width, seed) can have for any seed:
+    a (w+1)-clique and at most w edges per later vertex, w = min(width, n-1)."""
+    w = min(width, n - 1)
+    return (w + 1) * w // 2 + (n - w - 1) * w
+
+
 def gen_random_setcover(
     nx: int, nf: int, density: float = 0.4, seed: int = 0
 ) -> SetCoverInstance:

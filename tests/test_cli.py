@@ -455,6 +455,21 @@ def test_reduce_refuses_a_gadget_over_the_edge_cap(tmp_path, capsys, quiet_env, 
     capsys.readouterr()
 
 
+def test_gen_chordal_refuses_a_graph_over_the_edge_cap(tmp_path, capsys, quiet_env, monkeypatch):
+    # at width 4, 30 vertices may get a 5-clique and 4 edges for each of the
+    # other 25: 110.  The cap is lowered so that the refused graph stays small
+    argv = ["gen", "chordal", "--n", "30", "--width", "4"]
+    monkeypatch.setattr(io, "MAX_EDGES", 109)
+    assert _run_writing(tmp_path, argv, None) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the graph to write could have m=110 edges; at most 109")
+    assert not (tmp_path / "out.txt").exists()
+    monkeypatch.setattr(io, "MAX_EDGES", 110)
+    assert _run_writing(tmp_path, argv, None) == 0
+    assert read_graph(tmp_path / "out.txt").m <= 110
+    capsys.readouterr()
+
+
 def _inputs() -> dict[str, str]:
     """Valid inputs of every kind a command reads, keyed by file name."""
     rg = build_setcover_k3(FIG)

@@ -10,6 +10,7 @@ from kcover import (
     gen_random_setcover,
     gen_random_tree,
 )
+from kcover.generators import chordal_size_bound
 
 
 def test_enumerate_labeled_trees_counts():
@@ -52,6 +53,16 @@ def test_gen_random_chordal():
         gen_random_chordal(3, 0, 0)
     with pytest.raises(InputError):
         gen_random_chordal(2, 2, 0)
+
+
+def test_chordal_size_bound_holds_and_is_reached():
+    for seed in range(40):
+        n, width = 5 + seed, 1 + seed % 4
+        assert gen_random_chordal(n, width, seed).m <= chordal_size_bound(n, width)
+    # a tree at width 1, and a single clique when width is n - 1
+    assert gen_random_chordal(30, 1, 0).m == chordal_size_bound(30, 1) == 29
+    assert gen_random_chordal(8, 7, 0).m == chordal_size_bound(8, 7) == 28
+    assert chordal_size_bound(8, 100) == 28
 
 
 def test_gen_random_setcover_bounds():
