@@ -22,10 +22,6 @@ def _loaded_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def _private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
-
-
 def test_every_import_is_used():
     unused = []
     for name, tree in MODULES.items():
@@ -54,14 +50,11 @@ def test_every_private_name_is_referenced():
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(name, node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
             if isinstance(node, ast.ClassDef):
-                defined += [
-                    (name, item.lineno, item.name)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                ]
+                defined += [(name, item.lineno, item.name)
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
     unreferenced = [
         f"{module}:{line} {ident}"
         for module, line, ident in defined
-        if _private(ident) and ident not in used
+        if ident.startswith("_") and not ident.startswith("__") and ident not in used
     ]
     assert unreferenced == []
