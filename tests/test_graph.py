@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +12,7 @@ from kcover import (
     apply_completion,
     check_chordal,
     find_bridges,
+    gen_random_chordal,
     gen_random_tree,
     norm_edge,
     unsaturated_edges,
@@ -24,8 +27,14 @@ from helpers import (
     cycle_graph,
     nonedges,
     path_graph,
+    permuted,
     star_graph,
 )
+
+# sha256 of check_chordal (verdict, elimination order, certificate) and
+# find_bridges on the graphs listed by _search_corpus below, recorded before
+# both searches were rewritten; any rewrite must reproduce it.
+GOLDEN_SEARCHES_SHA256 = "63633a9486931e0f6979726bd539e601b4f53c2c73d9526c57a09d84bdfc14f4"
 
 
 def _random_graph(n: int, extra: int, seed: int) -> Graph:
@@ -235,3 +244,39 @@ def test_check_chordal_matches_brute_force():
             assert _is_peo(g, list(res.elimination_order))
         else:
             assert res.certificate is not None
+
+
+def _with_one_nonedge(g: Graph, seed: int) -> Graph:
+    """g plus one non-edge drawn by a seeded rejection loop."""
+    rng = random.Random(seed)
+    while True:
+        e = tuple(sorted(rng.sample(range(g.n), 2)))
+        if e not in g.edges:
+            return Graph(g.n, list(g.edges) + [e])
+
+
+def _search_corpus():
+    """Seeded chordal graphs as generated and relabelled, each also with one
+    non-edge added, then random graphs on 0-12 vertices (disconnected ones and
+    isolated vertices included)."""
+    for n in (6, 9, 30, 200, 2000):
+        for width in range(1, 5):
+            for seed in range(3):
+                base = gen_random_chordal(n, width, seed)
+                for g in (base, permuted(base, seed + 7)):
+                    yield g
+                    yield _with_one_nonedge(g, seed)
+    for n in range(13):
+        for p in (0.15, 0.35, 0.6, 0.85):
+            for seed in range(6):
+                rng = random.Random(1000 * n + 100 * seed + int(100 * p))
+                yield Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_chordality_and_bridge_searches_golden_hash():
+    h = hashlib.sha256()
+    for g in _search_corpus():
+        res = check_chordal(g)
+        h.update(repr((res.is_chordal, res.elimination_order, res.certificate)).encode())
+        h.update(repr(find_bridges(g)).encode())
+    assert h.hexdigest() == GOLDEN_SEARCHES_SHA256
