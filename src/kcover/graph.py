@@ -253,7 +253,7 @@ def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverChe
 
 def find_bridges(g: Graph) -> list[Edge]:
     """All bridges of g, in lexicographic order (iterative lowpoint search)."""
-    n = g.n
+    n, adj = g.n, g.adj
     disc = [-1] * n
     low = [0] * n
     bridges: list[Edge] = []
@@ -263,20 +263,18 @@ def find_bridges(g: Graph) -> list[Edge]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack: list[list[int]] = [[root, -1, 0]]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            frame = stack[-1]
-            v, parent, i = frame
-            if i < len(g.adj[v]):
-                frame[2] += 1
-                w = g.adj[v][i]
+            v, parent, rest = stack[-1]
+            for w in rest:
                 if w == parent:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append([w, v, 0])
-                elif disc[w] < low[v]:
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:
                     low[v] = disc[w]
             else:
                 stack.pop()
@@ -284,44 +282,51 @@ def find_bridges(g: Graph) -> list[Edge]:
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                     if low[v] > disc[parent]:
-                        bridges.append(norm_edge(parent, v))
+                        bridges.append((parent, v) if parent < v else (v, parent))
     return sorted(bridges)
 
 
 def check_chordal(g: Graph) -> ChordalityResult:
-    """Chordality test via maximum cardinality search.
+    """Chordality test by one maximum cardinality search (MCS).
 
-    Returns the elimination order on success, or a certificate vertex whose
-    later neighbors fail to form a clique under the attempted order.
+    MCS numbers next the unnumbered vertex with the most numbered neighbours,
+    the smallest id among ties; the elimination order is the visit order
+    reversed.  A vertex's later neighbours in that order are those numbered
+    before it, and the clique test checks each against the nearest of them,
+    the one numbered last.  The certificate, on failure, is the first vertex
+    in elimination order that fails this test (its later neighbours are not a
+    clique, but an earlier vertex's may not be one either).
     """
-    n = g.n
+    n, adj, edges = g.n, g.adj, g.edges
     weight = [0] * n
-    numbered = [False] * n
-    heap: list[tuple[int, int]] = [(0, v) for v in range(n)]
-    heapq.heapify(heap)
+    rank = [-1] * n  # visit position, -1 until numbered
+    # buckets[w]: heap of the ids pushed at weight w; no weight exceeds a degree
+    buckets = [list(range(n))] + [[] for _ in range(max(map(len, adj), default=0))]
+    top = 0
     visit: list[int] = []
-    while len(visit) < n:
+    certificate = None
+    for v_rank in range(n):
         while True:
-            negw, v = heapq.heappop(heap)
-            if not numbered[v] and -negw == weight[v]:
+            while not buckets[top]:
+                top -= 1
+            v = heapq.heappop(buckets[top])
+            if rank[v] < 0 and weight[v] == top:
                 break
-        numbered[v] = True
+        rank[v] = v_rank
         visit.append(v)
-        for w in g.adj[v]:
-            if not numbered[w]:
-                weight[w] += 1
-                heapq.heappush(heap, (-weight[w], w))
-    peo = visit[::-1]
-    pos = [0] * n
-    for idx, v in enumerate(peo):
-        pos[v] = idx
-    edges = g.edges
-    for v in peo:
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        u = min(later, key=lambda w: pos[w])
+        later = []
+        for w in adj[v]:
+            if rank[w] >= 0:
+                later.append(w)
+                continue
+            wt = weight[w] = weight[w] + 1
+            heapq.heappush(buckets[wt], w)
+            if wt > top:
+                top = wt
+        u = max(later, key=rank.__getitem__, default=v)
         for w in later:
-            if w != u and norm_edge(u, w) not in edges:
-                return ChordalityResult(False, None, v)
-    return ChordalityResult(True, tuple(peo), None)
+            if w != u and ((u, w) if u < w else (w, u)) not in edges:
+                certificate = v
+    if certificate is not None:
+        return ChordalityResult(False, None, certificate)
+    return ChordalityResult(True, tuple(visit[::-1]), None)
