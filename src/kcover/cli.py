@@ -100,7 +100,7 @@ def _solver_k(alg: str, k: int | None, l: int) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = io.read_graph(args.infile)
+    g = io.read_graph(args.infile, connected=True)
     started = time.perf_counter()
     if args.alg != "brute":
         completion = SOLVERS[args.alg][1](g, _solver_k(args.alg, args.k, args.l))

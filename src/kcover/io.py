@@ -42,7 +42,7 @@ def _parse_pair(line: str, no: int) -> tuple[int, int]:
 # adjacency for every vertex before it reads an edge, so the header is checked
 # against this cap first.
 MAX_VERTICES = 10_000_000
-# The largest edge count of a graph kcover builds to write out.
+# The largest edge count of a graph kcover builds to write out or to solve.
 MAX_EDGES = 10_000_000
 
 
@@ -58,14 +58,26 @@ def check_size(m: int, source: str) -> None:
         raise InputError(f"{source} m={m} edges; at most {MAX_EDGES} are supported")
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Graph from "n m" followed by m "u v" lines; '#' starts a comment."""
+def parse_edge_list(text: str, connected: bool = False) -> Graph:
+    """Graph from "n m" followed by m "u v" lines; '#' starts a comment.
+
+    With connected (the solvers need a connected graph), a header that
+    declares fewer than n - 1 edges, or more than MAX_EDGES, is refused
+    before any edge is read.
+    """
     lines = _data_lines(text)
     if not lines:
         raise InputError("empty edge list: missing the 'n m' header line")
     no, head = lines[0]
     n, m = _parse_pair(head, no)
     check_order(n, f"line {no}: header declares")
+    if connected:
+        check_size(m, f"line {no}: header declares")
+        if m < n - 1:
+            raise InputError(
+                f"line {no}: header declares n={n} vertices and m={m} edges; "
+                f"a connected graph needs at least {n - 1}"
+            )
     if len(lines) - 1 != m:
         raise InputError(
             f"header announces {m} edges but the file has {len(lines) - 1}"
@@ -214,8 +226,8 @@ def read_text(path: str | Path) -> str:
         raise InputError(f"{path}: byte {exc.start} is not UTF-8 text") from None
 
 
-def read_graph(path: str | Path) -> Graph:
-    return parse_edge_list(read_text(path))
+def read_graph(path: str | Path, connected: bool = False) -> Graph:
+    return parse_edge_list(read_text(path), connected)
 
 
 def write_graph(path: str | Path, g: Graph) -> None:

@@ -7,10 +7,12 @@ under test.
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 
 from kcover import (
+    ChordalityResult,
     CompletionSet,
     CoverCheck,
     CoverSpec,
@@ -19,6 +21,7 @@ from kcover import (
     RootedTree,
     SetCoverInstance,
     approx_tree_k,
+    norm_edge,
     validate_completion,
 )
 from kcover.trees import _clique_cover_loop
@@ -144,6 +147,47 @@ def brute_is_chordal(g: Graph) -> bool:
             if sub.m == size and all(len(a) == 2 for a in sub.adj) and sub.is_connected():
                 return False
     return True
+
+
+# check_chordal as it was before its one-pass rewrite: one heap of
+# (-weight, id) pairs, then a second pass over the elimination order.
+def heap_check_chordal(g: Graph) -> ChordalityResult:
+    """Chordality test via maximum cardinality search.
+
+    Returns the elimination order on success, or a certificate vertex whose
+    later neighbors fail to form a clique under the attempted order.
+    """
+    n = g.n
+    weight = [0] * n
+    numbered = [False] * n
+    heap: list[tuple[int, int]] = [(0, v) for v in range(n)]
+    heapq.heapify(heap)
+    visit: list[int] = []
+    while len(visit) < n:
+        while True:
+            negw, v = heapq.heappop(heap)
+            if not numbered[v] and -negw == weight[v]:
+                break
+        numbered[v] = True
+        visit.append(v)
+        for w in g.adj[v]:
+            if not numbered[w]:
+                weight[w] += 1
+                heapq.heappush(heap, (-weight[w], w))
+    peo = visit[::-1]
+    pos = [0] * n
+    for idx, v in enumerate(peo):
+        pos[v] = idx
+    edges = g.edges
+    for v in peo:
+        later = [w for w in g.adj[v] if pos[w] > pos[v]]
+        if not later:
+            continue
+        u = min(later, key=lambda w: pos[w])
+        for w in later:
+            if w != u and norm_edge(u, w) not in edges:
+                return ChordalityResult(False, None, v)
+    return ChordalityResult(True, tuple(peo), None)
 
 
 def random_cover(inst: SetCoverInstance, rng: random.Random) -> list[int]:

@@ -4,6 +4,7 @@ import logging
 import pytest
 
 from kcover import (
+    Graph,
     SetCoverInstance,
     ThreePartitionInstance,
     build_setcover_k,
@@ -57,6 +58,43 @@ def test_solve_output_is_byte_identical_between_runs(tmp_path, capsys, quiet_env
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     capsys.readouterr()
+
+
+def _refuse_init(self, n, edges=()):
+    raise AssertionError(f"Graph({n}, ...) was built for a header that cannot be connected")
+
+
+@pytest.mark.parametrize("alg", ["tree-opt", "chordal-opt", "brute"])
+def test_solve_refuses_a_header_too_sparse_to_be_connected(
+    tmp_path, capsys, quiet_env, monkeypatch, alg
+):
+    # without the header check the graph is built and the solver fails later
+    monkeypatch.setattr(Graph, "__init__", _refuse_init)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("1000000 0\n")
+    assert main(["solve", "--alg", alg, "--in", str(gpath), "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: header declares n=1000000 vertices and m=0 edges")
+    assert "needs at least 999999" in err
+
+
+def test_solve_refuses_a_header_over_the_edge_cap(tmp_path, capsys, quiet_env, monkeypatch):
+    gpath, out = tmp_path / "g.txt", tmp_path / "c.txt"
+    write_graph(gpath, cycle_graph(6))
+    monkeypatch.setattr(io, "MAX_EDGES", 5)
+    assert main(["solve", "--alg", "brute", "--in", str(gpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: header declares m=6 edges; at most 5")
+    monkeypatch.setattr(io, "MAX_EDGES", 6)
+    assert main(["solve", "--alg", "brute", "--in", str(gpath), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_check_still_reads_a_graph_too_sparse_to_be_connected(tmp_path, capsys, quiet_env):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text("5 1\n0 1\n")
+    cpath.write_text("# additions=0\n")
+    assert main(["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)]) == 2
+    assert capsys.readouterr().out == "completed graph is disconnected\nunsaturated 0 1\n"
 
 
 def test_check_reports_each_unsaturated_edge(tmp_path, capsys, quiet_env):

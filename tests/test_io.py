@@ -81,6 +81,18 @@ def test_edge_list_vertex_count_is_bounded_before_allocation(monkeypatch):
     assert parse_edge_list(f"{MAX_VERTICES} 0\n") == MAX_VERTICES
 
 
+def test_edge_list_for_a_solver_needs_enough_edges_to_be_connected(monkeypatch):
+    assert parse_edge_list("4 1\n0 1\n").m == 1
+    with pytest.raises(InputError, match="n=4 vertices and m=1 edges; a connected graph needs at least 3"):
+        parse_edge_list("4 1\n0 1\n", connected=True)
+    assert parse_edge_list("0 0\n", connected=True).n == 0
+    assert parse_edge_list("1 0\n", connected=True).n == 1
+    assert parse_edge_list("3 2\n0 1\n1 2\n", connected=True).m == 2
+    # the header is refused before any edge line is read
+    with pytest.raises(InputError, match="header declares n=3"):
+        parse_edge_list("3 1\nnot an edge\n", connected=True)
+
+
 def test_completion_round_trip():
     c = CompletionSet([(0, 2), (1, 3)])
     assert list(parse_completion(format_completion(c))) == [(0, 2), (1, 3)]
