@@ -323,10 +323,11 @@ def check_chordal(g: Graph) -> ChordalityResult:
             heapq.heappush(buckets[wt], w)
             if wt > top:
                 top = wt
-        u = max(later, key=rank.__getitem__, default=v)
-        for w in later:
-            if w != u and ((u, w) if u < w else (w, u)) not in edges:
-                certificate = v
+        if len(later) > 1:
+            u = max(later, key=rank.__getitem__)
+            for w in later:
+                if w != u and ((u, w) if u < w else (w, u)) not in edges:
+                    certificate = v
     if certificate is not None:
         return ChordalityResult(False, None, certificate)
     return ChordalityResult(True, tuple(visit[::-1]), None)
