@@ -294,8 +294,8 @@ def check_chordal(g: Graph) -> ChordalityResult:
     reversed.  A vertex's later neighbours in that order are those numbered
     before it, and the clique test checks each against the nearest of them,
     the one numbered last.  The certificate, on failure, is the first vertex
-    in elimination order that fails this test (its later neighbours are not a
-    clique, but an earlier vertex's may not be one either).
+    in elimination order that fails this test.  Its later neighbours are not
+    a clique, though an earlier vertex's may not be one either.
     """
     n, adj, edges = g.n, g.adj, g.edges
     weight = [0] * n

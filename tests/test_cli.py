@@ -89,14 +89,6 @@ def test_solve_refuses_a_header_over_the_edge_cap(tmp_path, capsys, quiet_env, m
     capsys.readouterr()
 
 
-def test_check_still_reads_a_graph_too_sparse_to_be_connected(tmp_path, capsys, quiet_env):
-    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
-    gpath.write_text("5 1\n0 1\n")
-    cpath.write_text("# additions=0\n")
-    assert main(["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)]) == 2
-    assert capsys.readouterr().out == "completed graph is disconnected\nunsaturated 0 1\n"
-
-
 def test_check_reports_each_unsaturated_edge(tmp_path, capsys, quiet_env):
     gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
     write_graph(gpath, path_graph(3))
