@@ -1,5 +1,6 @@
-"""check_chordal against the two-pass heap search it replaced, and
-find_bridges against remove-and-count, on arbitrary small graphs."""
+"""check_chordal against the two-pass heap search it replaced, find_bridges
+against remove-and-count, and the clique counter against a count over
+itertools.combinations, on arbitrary small graphs."""
 
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcover import Graph, check_chordal, find_bridges
+from kcover.graph import _count_cliques
 
 from helpers import brute_bridges, heap_check_chordal
 
@@ -22,3 +24,23 @@ def test_searches_match_their_references_property(n, data):
     g = Graph(n, [p for p, keep in zip(pairs, present) if keep])
     assert check_chordal(g) == heap_check_chordal(g)
     assert find_bridges(g) == brute_bridges(g)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 10), need=st.integers(1, 4), cap=st.integers(1, 4), data=st.data()
+)
+def test_count_cliques_matches_combinations_property(n, need, cap, data):
+    pairs = list(combinations(range(n), 2))
+    present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    nbr = [set() for _ in range(n)]
+    for (u, v), keep in zip(pairs, present):
+        if keep:
+            nbr[u].add(v)
+            nbr[v].add(u)
+    cands = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    count = sum(
+        all(b in nbr[a] for a, b in combinations(sub, 2))
+        for sub in combinations(sorted(cands), need)
+    )
+    assert _count_cliques(nbr, cands, need, cap) == min(count, cap)
