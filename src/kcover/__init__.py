@@ -29,6 +29,7 @@ from .graph import (
     norm_edge,
     unsaturated_edges,
     validate_completion,
+    validate_pairs,
 )
 from .oracle import (
     InconclusiveError,

@@ -25,7 +25,7 @@ from .generators import (
     gen_random_setcover,
     gen_random_tree,
 )
-from .graph import CoverSpec, validate_completion
+from .graph import CoverSpec, validate_pairs
 from .oracle import OracleBudget, brute_min_completion
 from .reductions import (
     build_setcover_k,
@@ -124,13 +124,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g = io.read_graph(args.graph)
+    n, pairs = io.parse_edge_pairs(io.read_text(args.graph))
     completion = io.read_completion(args.completion)
     spec = CoverSpec(args.k, args.l)
-    result = validate_completion(g, completion, spec)
+    result = validate_pairs(n, pairs, completion, spec)
     log.info(
         "checked n=%d m=%d additions=%d at k=%d l=%d: violations=%d connected=%s",
-        g.n, g.m, len(completion), spec.k, spec.l,
+        n, len(pairs), len(completion), spec.k, spec.l,
         len(result.violations), result.connected,
     )
     if result.ok:

@@ -7,9 +7,10 @@ with u < v.  Graphs are immutable; edits return new graphs.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -67,7 +68,7 @@ class Graph:
         return components(self.adj, range(self.n))
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return _is_connected(self.adj, self.n)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -100,6 +101,22 @@ def components(
                     comp.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def _is_connected(adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], n: int) -> bool:
+    """Whether vertices 0..n-1 form at most one component: a search from
+    vertex 0 counts the vertices it reaches.  adj[v] lists v's neighbours."""
+    if n <= 1:
+        return True
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    for v in reached:
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = 1
+                reached.append(w)
+    return len(reached) == n
 
 
 def neighbour_sets(pairs: Iterable[Edge]) -> dict[int, set[int]]:
@@ -174,23 +191,31 @@ class ChordalityResult:
 
 
 def _count_cliques(
-    nbr: Sequence[set[int]] | Mapping[int, set[int]],
-    cands: Collection[int],
-    need: int,
-    cap: int,
+    nbr: Sequence[set[int]] | Mapping[int, set[int]], cands: set[int], need: int, cap: int
 ) -> int:
     """Number of need-cliques among cands, counted up to cap.
 
     nbr[w] is the neighbour set of each candidate w.  The candidates of an
     edge's k-cliques are its endpoints' common neighbours, and need is k - 2.
+    Each clique is counted from its first member in the iteration order of
+    cands, by intersecting that member's neighbours with the members after it.
     """
     if need == 1:
         return min(len(cands), cap)
-    order = sorted(cands)
+    rest = set(cands)
     count = 0
-    for i in range(len(order) - need + 1):
-        near = nbr[order[i]]
-        ext = [x for x in order[i + 1 :] if x in near]
+    if need == 2:
+        for x in cands:
+            rest.discard(x)
+            count += len(rest & nbr[x])
+            if count >= cap:
+                return cap
+        return count
+    for x in cands:
+        if len(rest) < need:
+            break
+        rest.discard(x)
+        ext = rest & nbr[x]
         if len(ext) >= need - 1:
             count += _count_cliques(nbr, ext, need - 1, cap - count)
             if count >= cap:
@@ -198,7 +223,9 @@ def _count_cliques(
     return count
 
 
-def _unsaturated(nbr: Sequence[set[int]], edges: Iterable[Edge], spec: CoverSpec) -> list[Edge]:
+def _unsaturated(
+    nbr: Sequence[set[int]] | Mapping[int, set[int]], edges: Iterable[Edge], spec: CoverSpec
+) -> list[Edge]:
     """The edges lying in fewer than spec.l cliques of order spec.k, sorted.
 
     nbr[v] is v's neighbour set in the graph that holds the edges.
@@ -207,9 +234,11 @@ def _unsaturated(nbr: Sequence[set[int]], edges: Iterable[Edge], spec: CoverSpec
     if need == 1:
         out = [(u, v) for u, v in edges if len(nbr[u] & nbr[v]) < cap]
     else:
-        out = [
-            (u, v) for u, v in edges if _count_cliques(nbr, nbr[u] & nbr[v], need, cap) < cap
-        ]
+        out = []
+        for u, v in edges:
+            common = nbr[u] & nbr[v]
+            if len(common) < need or _count_cliques(nbr, common, need, cap) < cap:
+                out.append((u, v))
     out.sort()
     return out
 
@@ -222,33 +251,58 @@ def unsaturated_edges(g: Graph, spec: CoverSpec) -> list[Edge]:
 def apply_completion(g: Graph, c: CompletionSet) -> Graph:
     """Add every pair of c to g.  Pairs must be non-edges; duplicates are rejected."""
     for e in c:
-        _check_addition(g, e)
+        _check_addition(e, g.n, e in g.edges)
     return Graph(g.n, list(g.edges) + list(c))
 
 
-def _check_addition(g: Graph, e: Edge) -> None:
-    if e[0] < 0 or e[1] >= g.n:
-        raise InputError(f"addition {e} out of range for n={g.n}")
-    if e in g.edges:
+def _check_addition(e: Edge, n: int, is_edge: bool) -> None:
+    if e[0] < 0 or e[1] >= n:
+        raise InputError(f"addition {e} out of range for n={n}")
+    if is_edge:
         raise InputError(f"addition {e} is already an edge")
 
 
-def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverCheck:
-    """Check that g plus c has a (k,l)-cover and is connected.
+def validate_pairs(
+    n: int, pairs: Iterable[tuple[int, int]], c: CompletionSet, spec: CoverSpec
+) -> CoverCheck:
+    """Check that the graph on 0..n-1 with edges pairs, plus c, has a (k,l)-cover
+    and is connected.
 
-    The completed graph is never built: every edge of g + c is scanned once
-    against neighbour sets that hold g's edges and c's pairs.  Only when g
-    itself is disconnected are those sets searched for components.
+    No Graph is built.  The pairs and c's additions go straight into neighbour
+    sets, held only for the vertices they touch, so memory follows the input
+    and not n; they raise the InputErrors of Graph(n, pairs) and of
+    apply_completion.  Every edge is then scanned once against those sets.
+    With n > 1, a vertex that nothing touches leaves the graph disconnected;
+    otherwise one search from vertex 0 counts the vertices it reaches.
     """
-    nbr = [set(a) for a in g.adj]
+    if n < 0:
+        raise InputError("vertex count must be non-negative")
+    nbr: defaultdict[int, set[int]] = defaultdict(set)
+    edges = []
+    for u, v in pairs:
+        e = (u, v) if u < v else norm_edge(u, v)
+        a, b = e
+        if a < 0 or b >= n:
+            raise InputError(f"edge {e} out of range for n={n}")
+        near = nbr[a]
+        if b in near:
+            raise InputError(f"duplicate edge {e}")
+        near.add(b)
+        nbr[b].add(a)
+        edges.append(e)
     for e in c:
-        _check_addition(g, e)
-        u, v = e
-        nbr[u].add(v)
-        nbr[v].add(u)
-    violations = tuple(_unsaturated(nbr, chain(g.edges, c), spec))
-    connected = g.is_connected() or len(components(nbr, range(g.n))) == 1
+        a, b = e
+        _check_addition(e, n, b in nbr[a])
+        nbr[a].add(b)
+        nbr[b].add(a)
+    violations = tuple(_unsaturated(nbr, chain(edges, c), spec))
+    connected = _is_connected(nbr, n) if len(nbr) == n else n <= 1
     return CoverCheck(ok=not violations and connected, violations=violations, connected=connected)
+
+
+def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverCheck:
+    """Check that g plus c has a (k,l)-cover and is connected (see validate_pairs)."""
+    return validate_pairs(g.n, g.edges, c, spec)
 
 
 def find_bridges(g: Graph) -> list[Edge]:

@@ -58,8 +58,9 @@ def check_size(m: int, source: str) -> None:
         raise InputError(f"{source} m={m} edges; at most {MAX_EDGES} are supported")
 
 
-def parse_edge_list(text: str, connected: bool = False) -> Graph:
-    """Graph from "n m" followed by m "u v" lines; '#' starts a comment.
+def parse_edge_pairs(text: str, connected: bool = False) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the pairs of "n m" followed by m "u v" lines; '#'
+    starts a comment.  The pairs are returned as read, unchecked.
 
     With connected (the solvers need a connected graph), a header that
     declares fewer than n - 1 edges, or more than MAX_EDGES, is refused
@@ -82,8 +83,12 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
         raise InputError(
             f"header announces {m} edges but the file has {len(lines) - 1}"
         )
-    edges = [_parse_pair(line, no) for no, line in lines[1:]]
-    return Graph(n, edges)
+    return n, [_parse_pair(line, no) for no, line in lines[1:]]
+
+
+def parse_edge_list(text: str, connected: bool = False) -> Graph:
+    """Graph from an edge list (see parse_edge_pairs)."""
+    return Graph(*parse_edge_pairs(text, connected))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -243,9 +248,13 @@ def write_completion(path: str | Path, c: CompletionSet) -> None:
 
 
 def read_reduction(graph_path: str | Path, roles_path: str | Path) -> LabeledReductionGraph:
-    g = read_graph(graph_path)
+    """The reduction graph and its roles; the role count is checked against
+    the header's n before the graph is built."""
+    n, pairs = parse_edge_pairs(read_text(graph_path))
     k, roles = parse_role_map(read_text(roles_path))
-    return LabeledReductionGraph.from_roles(g, roles, k)
+    if len(roles) != n:
+        raise InputError("one role per vertex required")
+    return LabeledReductionGraph.from_roles(Graph(n, pairs), roles, k)
 
 
 def write_reduction(

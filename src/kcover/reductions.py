@@ -319,7 +319,7 @@ class _AnchorPurchase:
 
     def buy(self, j: int) -> None:
         e = self.rg.anchor_edge(j)
-        _check_addition(self.rg.graph, e)
+        _check_addition(e, self.rg.graph.n, e in self.rg.graph.edges)
         u, v = e
         if v not in self.nbr[u]:
             self.nbr[u].add(v)

@@ -99,6 +99,16 @@ def test_check_reports_each_unsaturated_edge(tmp_path, capsys, quiet_env):
     assert "unsaturated 0 1" in out and "unsaturated 1 2" in out
 
 
+def test_check_of_a_sparse_header_builds_no_graph(tmp_path, capsys, quiet_env, monkeypatch):
+    # memory follows the pairs: no Graph, and nothing per vertex, for n = 10**6
+    monkeypatch.setattr(Graph, "__init__", _refuse_init)
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text("1000000 0\n")
+    cpath.write_text("# additions=0\n")
+    assert main(["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)]) == 2
+    assert capsys.readouterr().out == "completed graph is disconnected\n"
+
+
 def _write_failing_check(tmp_path):
     """A graph and completion whose check fails on five edges and on connectivity.
 
@@ -383,6 +393,23 @@ def test_goodify_rejects_mistyped_role_map(tmp_path, capsys, quiet_env, case):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not gpath.exists()
+
+def test_goodify_refuses_a_role_count_unlike_the_header_before_building(
+    tmp_path, capsys, quiet_env, monkeypatch
+):
+    monkeypatch.setattr(Graph, "__init__", _refuse_init)
+    gpath, rpath, cpath = tmp_path / "g.txt", tmp_path / "roles.json", tmp_path / "c.txt"
+    gpath.write_text("1000000 0\n")
+    roles = {str(v): {"kind": "set", "index": v} for v in range(3)}
+    rpath.write_text(json.dumps({"k": 3, "roles": roles}))
+    cpath.write_text("# additions=0\n")
+    code = main([
+        "goodify", "--graph", str(gpath), "--roles", str(rpath),
+        "--completion", str(cpath), "--out", str(tmp_path / "good.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: one role per vertex required\n"
+
 
 def test_gen_families(tmp_path, capsys, quiet_env):
     out = tmp_path / "out.txt"
