@@ -9,7 +9,8 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -24,27 +25,45 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _checked_edges(
+    pairs: Iterable[tuple[int, int]], n: int | None, noun: str = "edge"
+) -> tuple[list[Edge], frozenset[Edge]]:
+    """The pairs as (min, max) edges in input order, and their set.
+
+    A negative n, a self-loop, an endpoint outside 0..n-1 (unless n is None)
+    and a repeat (a duplicate noun) are refused.  Bulk checks find a fault; an
+    in-order rescan, run only then, raises the first one.
+    """
+    if n is not None and n < 0:
+        raise InputError("vertex count must be non-negative")
+    edges = [(u, v) if u < v else (v, u) for u, v in pairs]
+    edge_set = frozenset(edges)
+    if len(edge_set) < len(edges) or any(starmap(eq, edges)) or n is not None and (
+        min(edges, default=(0,))[0] < 0 or max(map(itemgetter(1), edges), default=-1) >= n
+    ):
+        seen: set[Edge] = set()
+        for e in edges:
+            norm_edge(*e)
+            if n is not None and (e[0] < 0 or e[1] >= n):
+                raise InputError(f"edge {e} out of range for n={n}")
+            if e in seen:
+                raise InputError(f"duplicate {noun} {e}")
+            seen.add(e)
+    return edges, edge_set
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise InputError("vertex count must be non-negative")
+        listed, self.edges = _checked_edges(edges, n)
         adj_lists: list[list[int]] = [[] for _ in range(n)]
-        seen: set[Edge] = set()
-        for u, v in edges:
-            e = norm_edge(u, v)
-            if e[0] < 0 or e[1] >= n:
-                raise InputError(f"edge {e} out of range for n={n}")
-            if e in seen:
-                raise InputError(f"duplicate edge {e}")
-            seen.add(e)
-            adj_lists[e[0]].append(e[1])
-            adj_lists[e[1]].append(e[0])
+        for a, b in listed:
+            adj_lists[a].append(b)
+            adj_lists[b].append(a)
         self.n = n
-        self.edges = frozenset(seen)
         self.adj = tuple(tuple(sorted(a)) for a in adj_lists)
 
     @property
@@ -148,15 +167,7 @@ class CompletionSet:
     __slots__ = ("additions",)
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        out: list[Edge] = []
-        seen: set[Edge] = set()
-        for u, v in pairs:
-            e = norm_edge(u, v)
-            if e in seen:
-                raise InputError(f"duplicate addition {e}")
-            seen.add(e)
-            out.append(e)
-        self.additions = tuple(out)
+        self.additions = tuple(_checked_edges(pairs, None, "addition")[0])
 
     def __len__(self) -> int:
         return len(self.additions)
@@ -266,33 +277,20 @@ def validate_pairs(
     n: int, pairs: Iterable[tuple[int, int]], c: CompletionSet, spec: CoverSpec
 ) -> CoverCheck:
     """Check that the graph on 0..n-1 with edges pairs, plus c, has a (k,l)-cover
-    and is connected.
+    and is connected, raising the InputErrors of Graph(n, pairs) and of
+    apply_completion.
 
-    No Graph is built.  The pairs and c's additions go straight into neighbour
-    sets, held only for the vertices they touch, so memory follows the input
-    and not n; they raise the InputErrors of Graph(n, pairs) and of
-    apply_completion.  Every edge is then scanned once against those sets.
-    With n > 1, a vertex that nothing touches leaves the graph disconnected;
-    otherwise one search from vertex 0 counts the vertices it reaches.
+    No Graph is built: the pairs and c's additions go into neighbour sets, held
+    only for the vertices they touch, so memory follows the input and not n.
+    Every edge is then scanned once against those sets.  With n > 1, a vertex
+    that nothing touches leaves the graph disconnected; otherwise one search
+    from vertex 0 counts the vertices it reaches.
     """
-    if n < 0:
-        raise InputError("vertex count must be non-negative")
-    nbr: defaultdict[int, set[int]] = defaultdict(set)
-    edges = []
-    for u, v in pairs:
-        e = (u, v) if u < v else norm_edge(u, v)
-        a, b = e
-        if a < 0 or b >= n:
-            raise InputError(f"edge {e} out of range for n={n}")
-        near = nbr[a]
-        if b in near:
-            raise InputError(f"duplicate edge {e}")
-        near.add(b)
-        nbr[b].add(a)
-        edges.append(e)
+    edges, edge_set = _checked_edges(pairs, n)
     for e in c:
-        a, b = e
-        _check_addition(e, n, b in nbr[a])
+        _check_addition(e, n, e in edge_set)
+    nbr: defaultdict[int, set[int]] = defaultdict(set)
+    for a, b in chain(edges, c):
         nbr[a].add(b)
         nbr[b].add(a)
     violations = tuple(_unsaturated(nbr, chain(edges, c), spec))

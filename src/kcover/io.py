@@ -19,13 +19,16 @@ from .reductions import (
 )
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+def _data_lines(text: str) -> tuple[list[tuple[int, str]], list[str]]:
+    """The numbered data lines of text, and its '#' comment lines, stripped."""
+    data, comments = [], []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((no, line))
-    return out
+        if line.startswith("#"):
+            comments.append(line)
+        elif line:
+            data.append((no, line))
+    return data, comments
 
 
 def _parse_pair(line: str, no: int) -> tuple[int, int]:
@@ -66,7 +69,7 @@ def parse_edge_pairs(text: str, connected: bool = False) -> tuple[int, list[tupl
     declares fewer than n - 1 edges, or more than MAX_EDGES, is refused
     before any edge is read.
     """
-    lines = _data_lines(text)
+    lines = _data_lines(text)[0]
     if not lines:
         raise InputError("empty edge list: missing the 'n m' header line")
     no, head = lines[0]
@@ -98,20 +101,18 @@ def format_edge_list(g: Graph) -> str:
 
 
 def parse_completion(text: str) -> CompletionSet:
-    """Completion file: "u v" lines, optional "# additions=N" count check."""
+    """Completion file: "u v" lines, counted by an optional "# additions=N" (the last one)."""
+    lines, comments = _data_lines(text)
     declared: int | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("#") and "additions=" in line:
+    for line in comments:
+        if "additions=" in line:
             try:
                 declared = int(line.split("additions=", 1)[1])
             except ValueError:
                 raise InputError(f"bad additions count in {line!r}") from None
-    pairs = [_parse_pair(line, no) for no, line in _data_lines(text)]
+    pairs = [_parse_pair(line, no) for no, line in lines]
     if declared is not None and declared != len(pairs):
-        raise InputError(
-            f"file declares additions={declared} but lists {len(pairs)} pairs"
-        )
+        raise InputError(f"file declares additions={declared} but lists {len(pairs)} pairs")
     return CompletionSet(pairs)
 
 
