@@ -189,9 +189,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif args.family == "worst-spider":
         io.write_graph(args.out, worst_case_spider(args.n))
     elif args.family == "setcover":
+        # one random draw per (item, set) pair
+        if args.items * args.sets > io.MAX_EDGES:
+            raise InputError(
+                f"--items {args.items} and --sets {args.sets} would draw "
+                f"{args.items * args.sets} memberships; at most {io.MAX_EDGES} are supported"
+            )
         inst = gen_random_setcover(args.items, args.sets, args.density, args.seed)
         Path(args.out).write_text(io.format_setcover_json(inst))
     else:
+        io.check_order(1 + args.p * args.s, "the spider of this instance would have")
         inst, witness = gen_random_3partition(
             args.p, args.s, args.seed, yes=not args.likely_no
         )

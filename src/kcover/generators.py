@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from itertools import combinations, combinations_with_replacement, product
+from array import array
+from bisect import bisect_right
+from itertools import accumulate, combinations, product
 from typing import Iterator
 
 from .errors import InputError
@@ -106,16 +108,6 @@ def gen_random_setcover(
     return SetCoverInstance(nx, tuple(frozenset(s) for s in sets))
 
 
-def _feasible_triples(s: int) -> list[tuple[int, int, int]]:
-    lo = s // 4 + 1
-    hi = (s - 1) // 2
-    return [
-        t
-        for t in combinations_with_replacement(range(lo, hi + 1), 3)
-        if sum(t) == s
-    ]
-
-
 def gen_random_3partition(
     p: int, s: int, seed: int, yes: bool = True
 ) -> tuple[ThreePartitionInstance, list[tuple[int, int, int]] | None]:
@@ -128,15 +120,30 @@ def gen_random_3partition(
     """
     if p < 1:
         raise InputError("need at least one triple")
-    triples = _feasible_triples(s)
-    if not triples:
+    # The feasible triples a <= b <= c inside the window, in lexicographic
+    # order, without listing them: those with a = lo + i have b from
+    # max(a, s - a - hi) to last_b(a), and ends[i] counts them and all before.
+    lo, hi = s // 4 + 1, (s - 1) // 2
+
+    def last_b(a: int) -> int:
+        return min(hi, (s - a) // 2)
+
+    ends = array("q", accumulate(
+        max(0, last_b(a) - max(a, s - a - hi) + 1) for a in range(lo, hi + 1)
+    ))
+    if not ends or not ends[-1]:
         raise InputError(
             f"no three integers strictly between {s}/4 and {s}/2 sum to {s}"
         )
     rng = random.Random(seed)
     values: list[int] = []
     for _ in range(p):
-        triple = list(rng.choice(triples))
+        # randrange(m) and choice over m items draw the same index
+        index = rng.randrange(ends[-1])
+        i = bisect_right(ends, index)
+        a = lo + i
+        b = last_b(a) + index + 1 - ends[i]
+        triple = [a, b, s - a - b]
         rng.shuffle(triple)
         values.extend(triple)
     witness = [(3 * g, 3 * g + 1, 3 * g + 2) for g in range(p)]
@@ -144,7 +151,6 @@ def gen_random_3partition(
         return ThreePartitionInstance(s, tuple(values)), witness
     if p < 2:
         raise InputError("a single-triple instance is always satisfiable")
-    lo, hi = s // 4 + 1, (s - 1) // 2
     positions = list(range(3 * p))
     for _ in range(200):
         i, j = rng.sample(positions, 2)

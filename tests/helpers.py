@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from kcover import (
     ChordalityResult,
@@ -20,6 +20,7 @@ from kcover import (
     LabeledReductionGraph,
     RootedTree,
     SetCoverInstance,
+    ThreePartitionInstance,
     approx_tree_k,
     norm_edge,
     validate_completion,
@@ -229,3 +230,28 @@ def valid_p3_partition(t: RootedTree, groups: list[tuple]) -> bool:
             return False
         seen.extend(group)
     return len(seen) == len(set(seen)) and sorted(seen) == t.base.edge_list()
+
+
+def enumerated_3partition(p: int, s: int, seed: int, yes: bool = True):
+    """gen_random_3partition for valid p and feasible s, as it was when it drew
+    each triple with random.choice from a list of every feasible triple."""
+    lo, hi = s // 4 + 1, (s - 1) // 2
+    triples = [
+        t for t in combinations_with_replacement(range(lo, hi + 1), 3) if sum(t) == s
+    ]
+    rng = random.Random(seed)
+    values: list[int] = []
+    for _ in range(p):
+        triple = list(rng.choice(triples))
+        rng.shuffle(triple)
+        values.extend(triple)
+    if yes:
+        return ThreePartitionInstance(s, tuple(values))
+    positions = list(range(3 * p))
+    for _ in range(200):
+        i, j = rng.sample(positions, 2)
+        if i // 3 != j // 3 and values[i] < hi and values[j] > lo:
+            values[i] += 1
+            values[j] -= 1
+            return ThreePartitionInstance(s, tuple(values))
+    return None

@@ -12,7 +12,7 @@ from kcover import (
     completion_from_cover,
     gen_random_tree,
 )
-from kcover import io
+from kcover import cli, io
 from kcover.cli import SOLVERS, _build_parser, main
 from kcover.io import (
     format_edge_list,
@@ -524,6 +524,42 @@ def test_gen_chordal_refuses_a_graph_over_the_edge_cap(tmp_path, capsys, quiet_e
     monkeypatch.setattr(io, "MAX_EDGES", 110)
     assert _run_writing(tmp_path, argv, None) == 0
     assert read_graph(tmp_path / "out.txt").m <= 110
+    capsys.readouterr()
+
+
+def _refuse_generating(*args, **kwargs):
+    raise AssertionError("an instance over the cap was generated")
+
+
+@pytest.mark.parametrize("argv,err", [
+    # 2001 x 5000 draws is one over the cap; the old code took seconds per 10**6 draws
+    (["setcover", "--items", "2001", "--sets", "5000"],
+     "error: --items 2001 and --sets 5000 would draw 10005000 memberships; at most 10000000"),
+    # the spider has a centre and legs of p * s vertices in all
+    (["3partition", "--p", "3", "--s", "3333334"],
+     "error: the spider of this instance would have n=10000003 vertices; at most 10000000"),
+    (["3partition", "--p", "2", "--s", "10000000"],
+     "error: the spider of this instance would have n=20000001 vertices; at most 10000000"),
+], ids=["setcover", "3partition-many-triples", "3partition-large-target"])
+def test_gen_refuses_an_instance_over_the_caps_before_generating(
+    tmp_path, capsys, quiet_env, monkeypatch, argv, err
+):
+    monkeypatch.setattr(cli, "gen_random_setcover", _refuse_generating)
+    monkeypatch.setattr(cli, "gen_random_3partition", _refuse_generating)
+    out = tmp_path / "out.json"
+    assert main(["gen", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(err)
+    assert not out.exists()
+
+
+def test_gen_writes_an_instance_at_the_caps(tmp_path, capsys, quiet_env, monkeypatch):
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(io, "MAX_EDGES", 12)
+    assert main(["gen", "setcover", "--items", "3", "--sets", "4", "--out", str(out)]) == 0
+    assert main(["gen", "setcover", "--items", "13", "--sets", "1", "--out", str(out)]) == 1
+    monkeypatch.setattr(io, "MAX_VERTICES", 19)
+    assert main(["gen", "3partition", "--p", "2", "--s", "9", "--out", str(out)]) == 0
+    assert main(["gen", "3partition", "--p", "2", "--s", "10", "--out", str(out)]) == 1
     capsys.readouterr()
 
 

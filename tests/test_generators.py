@@ -12,6 +12,8 @@ from kcover import (
 )
 from kcover.generators import chordal_size_bound
 
+from helpers import enumerated_3partition
+
 
 def test_enumerate_labeled_trees_counts():
     # Cayley's formula: n^(n-2) labeled trees
@@ -101,3 +103,25 @@ def test_gen_random_3partition_likely_no_instances():
     assert all(4 * v > 10 and 2 * v < 10 for v in inst.values)
     with pytest.raises(InputError):
         gen_random_3partition(1, 10, seed=0, yes=False)
+
+
+def test_gen_random_3partition_draws_as_the_enumeration_did():
+    # every feasible s from 7 to 60 (8 has no triple), p up to 5, both modes
+    for s in (7, *range(9, 61)):
+        for p in (2, 5) if s % 2 else (3,):
+            for seed in range(4):
+                for yes in (True, False):
+                    want = enumerated_3partition(p, s, seed, yes)
+                    if want is None:
+                        with pytest.raises(InputError):
+                            gen_random_3partition(p, s, seed, yes)
+                    else:
+                        assert gen_random_3partition(p, s, seed, yes)[0] == want
+    assert gen_random_3partition(1, 100, 0)[0] == enumerated_3partition(1, 100, 0)
+
+
+def test_gen_random_3partition_is_linear_in_s():
+    # listing every feasible triple at s = 10**5 would take some 10**10 steps
+    inst, _ = gen_random_3partition(4, 100_000, seed=1)
+    assert sum(inst.values) == 4 * 100_000
+    assert all(4 * v > 100_000 and 2 * v < 100_000 for v in inst.values)
