@@ -62,16 +62,6 @@ def _pop_alive_child(heap: list[int], alive: list[bool], skip: int = -1) -> int 
     return None
 
 
-def _residual_index(t: RootedTree) -> tuple[list[int], list[list[int]]]:
-    """Each vertex's child count and a consume-only heap of its children.
-
-    children() lists every vertex's children in ascending order, which is
-    already a min-heap.
-    """
-    child_heap = t.children()
-    return [len(h) for h in child_heap], child_heap
-
-
 def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
     """Partition the tree's edges into paths on three vertices.
 
@@ -85,7 +75,9 @@ def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
         raise InputError("edge partition needs at least 3 vertices")
     parent = t.parent
     alive = [True] * n
-    child_count, child_heap = _residual_index(t)
+    # consume-only heaps of each vertex's children: ascending lists already are
+    child_heap = t.children()
+    child_count = [len(h) for h in child_heap]
     live = n
     groups: list[tuple[Edge, ...]] = []
     # deepest first, ties to the lowest id (the sort is stable)
@@ -440,7 +432,9 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
         raise InputError(f"tree has {n} vertices, needs at least 4")
     parent = t.parent
     alive = [True] * n
-    child_count, child_heap = _residual_index(t)
+    # consume-only heaps of each vertex's children: ascending lists already are
+    child_heap = t.children()
+    child_count = [len(h) for h in child_heap]
     depth = t.depth
     # per-depth heaps of (-child count, vertex); vertices never change depth,
     # so the deepest non-empty one only moves toward the root
