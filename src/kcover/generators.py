@@ -122,16 +122,14 @@ def gen_random_3partition(
         raise InputError("need at least one triple")
     # The feasible triples a <= b <= c inside the window, in lexicographic
     # order, without listing them: those with a = lo + i have b from
-    # max(a, s - a - hi) to last_b(a), and ends[i] counts them and all before.
+    # max(a, s - a - hi) to min(hi, (s - a) // 2), and starts[i] counts the
+    # triples before them.
     lo, hi = s // 4 + 1, (s - 1) // 2
-
-    def last_b(a: int) -> int:
-        return min(hi, (s - a) // 2)
-
-    ends = array("q", accumulate(
-        max(0, last_b(a) - max(a, s - a - hi) + 1) for a in range(lo, hi + 1)
+    starts = array("q", accumulate(
+        (max(0, min(hi, (s - a) // 2) - max(a, s - a - hi) + 1) for a in range(lo, hi + 1)),
+        initial=0,
     ))
-    if not ends or not ends[-1]:
+    if not starts[-1]:
         raise InputError(
             f"no three integers strictly between {s}/4 and {s}/2 sum to {s}"
         )
@@ -139,10 +137,10 @@ def gen_random_3partition(
     values: list[int] = []
     for _ in range(p):
         # randrange(m) and choice over m items draw the same index
-        index = rng.randrange(ends[-1])
-        i = bisect_right(ends, index)
+        index = rng.randrange(starts[-1])
+        i = bisect_right(starts, index) - 1
         a = lo + i
-        b = last_b(a) + index + 1 - ends[i]
+        b = max(a, s - a - hi) + index - starts[i]
         triple = [a, b, s - a - b]
         rng.shuffle(triple)
         values.extend(triple)
