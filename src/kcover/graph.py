@@ -43,7 +43,7 @@ def _checked_edges(
     ):
         seen: set[Edge] = set()
         for e in edges:
-            norm_edge(*e)
+            norm_edge(*e)  # refuses a self-loop
             if n is not None and (e[0] < 0 or e[1] >= n):
                 raise InputError(f"edge {e} out of range for n={n}")
             if e in seen:
