@@ -17,6 +17,7 @@ from kcover import (
     CoverCheck,
     CoverSpec,
     Graph,
+    InputError,
     LabeledReductionGraph,
     RootedTree,
     SetCoverInstance,
@@ -25,6 +26,7 @@ from kcover import (
     norm_edge,
     validate_completion,
 )
+from kcover.io import check_order, check_size
 from kcover.trees import _clique_cover_loop
 
 
@@ -255,3 +257,71 @@ def enumerated_3partition(p: int, s: int, seed: int, yes: bool = True):
             values[j] -= 1
             return ThreePartitionInstance(s, tuple(values))
     return None
+
+
+# io.parse_edge_pairs and io.parse_completion as they were when every line was
+# stripped, split and converted in Python, with the two helpers they called.
+def linewise_data_lines(text: str) -> tuple[list[tuple[int, str]], list[str]]:
+    """The numbered data lines of text, and its '#' comment lines, stripped."""
+    data, comments = [], []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            comments.append(line)
+        elif line:
+            data.append((no, line))
+    return data, comments
+
+
+def linewise_pair(line: str, no: int) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise InputError(f"line {no}: expected two integers, got {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise InputError(f"line {no}: expected two integers, got {line!r}") from None
+
+
+def linewise_edge_pairs(text: str, connected: bool = False) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the pairs of "n m" followed by m "u v" lines; '#'
+    starts a comment.  The pairs are returned as read, unchecked.
+
+    With connected (the solvers need a connected graph), a header that
+    declares fewer than n - 1 edges, or more than MAX_EDGES, is refused
+    before any edge is read.
+    """
+    lines = linewise_data_lines(text)[0]
+    if not lines:
+        raise InputError("empty edge list: missing the 'n m' header line")
+    no, head = lines[0]
+    n, m = linewise_pair(head, no)
+    check_order(n, f"line {no}: header declares")
+    if connected:
+        check_size(m, f"line {no}: header declares")
+        if m < n - 1:
+            raise InputError(
+                f"line {no}: header declares n={n} vertices and m={m} edges; "
+                f"a connected graph needs at least {n - 1}"
+            )
+    if len(lines) - 1 != m:
+        raise InputError(
+            f"header announces {m} edges but the file has {len(lines) - 1}"
+        )
+    return n, [linewise_pair(line, no) for no, line in lines[1:]]
+
+
+def linewise_completion(text: str) -> CompletionSet:
+    """Completion file: "u v" lines, counted by an optional "# additions=N" (the last one)."""
+    lines, comments = linewise_data_lines(text)
+    declared: int | None = None
+    for line in comments:
+        if "additions=" in line:
+            try:
+                declared = int(line.split("additions=", 1)[1])
+            except ValueError:
+                raise InputError(f"bad additions count in {line!r}") from None
+    pairs = [linewise_pair(line, no) for no, line in lines]
+    if declared is not None and declared != len(pairs):
+        raise InputError(f"file declares additions={declared} but lists {len(pairs)} pairs")
+    return CompletionSet(pairs)

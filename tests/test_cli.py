@@ -1,5 +1,6 @@
 import json
 import logging
+import sys
 
 import pytest
 
@@ -168,6 +169,30 @@ def test_check_rejects_an_over_large_vertex_count(tmp_path, capsys, quiet_env, m
     code = main(["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: line 1: header declares n=1000000000000")
+
+
+# int() refuses more than 4,300 digits (Python 3.10.7 and later); such a
+# token is a bad line like any other, not a ValueError traceback
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit"
+)
+HUGE = "9" * 5000
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("line, text", [
+    (3, f"3 2\n0 1\n{HUGE} 2\n"),
+    (1, f"{HUGE} 2\n0 1\n1 2\n"),
+])
+def test_commands_refuse_an_integer_too_long_to_convert(tmp_path, capsys, quiet_env, line, text):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text(text)
+    cpath.write_text("# additions=0\n")
+    want = f"error: line {line}: expected two integers"
+    assert main(["check", "--k", "3", "--graph", str(gpath), "--completion", str(cpath)]) == 1
+    assert capsys.readouterr().err.startswith(want)
+    assert main(["solve", "--alg", "tree-opt", "--in", str(gpath), "--out", str(cpath)]) == 1
+    assert capsys.readouterr().err.startswith(want)
 
 
 def test_solve_brute(tmp_path, capsys, quiet_env):

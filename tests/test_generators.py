@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kcover import (
@@ -74,6 +76,28 @@ def test_gen_random_setcover_bounds():
         gen_random_setcover(3, 0)
     with pytest.raises(InputError):
         gen_random_setcover(3, 3, density=1.5)
+
+
+# sha256 of the seeded SET COVER instances listed by _setcover_outputs below,
+# recorded while gen_random_setcover filled Python sets and then copied them.
+GOLDEN_SETCOVER_SHA256 = "b6ea495263a6448bc1e32aceb2f247eaaefe77add8d99d6221b16baf59c0ccdf"
+
+
+def _setcover_outputs():
+    """gen_random_setcover over a grid of sizes, densities and seeds, as text;
+    the sparse points orphan items and leave sets empty."""
+    for nx, nf in ((1, 1), (1, 5), (5, 1), (7, 3), (3, 9), (40, 25)):
+        for density in (0.0, 0.05, 0.3, 0.9, 1.0):
+            for seed in range(4):
+                inst = gen_random_setcover(nx, nf, density, seed)
+                yield repr([sorted(s) for s in inst.sets])
+
+
+def test_gen_random_setcover_golden_hash():
+    h = hashlib.sha256()
+    for text in _setcover_outputs():
+        h.update(text.encode())
+    assert h.hexdigest() == GOLDEN_SETCOVER_SHA256
 
 
 def test_gen_random_3partition_yes_instances():
