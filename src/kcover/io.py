@@ -7,6 +7,7 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .errors import InputError
@@ -41,6 +42,43 @@ def _parse_pair(line: str, no: int) -> tuple[int, int]:
         raise InputError(f"line {no}: expected two integers, got {line!r}") from None
 
 
+# A line of two unsigned decimal integers, blanks aside, as kcover writes
+# every pair and header line.
+_PAIR_LINE = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]*")
+_COUNT_LINE = re.compile(r"# additions=([0-9]+)")
+# The start of the first line that is not a _PAIR_LINE, a final empty line
+# aside.  The search keeps no state from one line to the next, whereas a
+# repeated group over the lines, fullmatch(r"(?:<pair>\n)*"), holds memory
+# for every line it has passed.
+_BAD_LINE = re.compile(rf"^(?!\Z)(?!{_PAIR_LINE.pattern}$)", re.M)
+
+
+def _ints(match: re.Match | None) -> tuple[int, ...] | None:
+    """The groups of match as integers: None without a match, or for a number
+    with more digits than int() converts."""
+    if match:
+        try:
+            return tuple(map(int, match.groups()))
+        except ValueError:
+            pass
+    return None
+
+
+def _bulk_pairs(body: str) -> list[tuple[int, int]] | None:
+    """The pairs of body when every line of it is a _PAIR_LINE, or None.
+
+    The text is searched and converted by C-level bulk operations; text it
+    refuses goes to the line-by-line readers, which name the first bad line.
+    """
+    if _BAD_LINE.search(body):
+        return None
+    numbers = map(int, body.split())
+    try:
+        return list(zip(numbers, numbers))
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 # The largest vertex count an edge list may declare.  A graph allocates its
 # adjacency for every vertex before it reads an edge, so the header is checked
 # against this cap first.
@@ -69,11 +107,30 @@ def parse_edge_pairs(text: str, connected: bool = False) -> tuple[int, list[tupl
     declares fewer than n - 1 edges, or more than MAX_EDGES, is refused
     before any edge is read.
     """
+    head, _, body = text.partition("\n")
+    header = _ints(_PAIR_LINE.fullmatch(head))
+    if header:
+        _check_header(*header, 1, connected)
+        pairs = _bulk_pairs(body)
+        if pairs is not None:
+            _check_count(header[1], len(pairs))
+            return header[0], pairs
+    return _linewise_edge_pairs(text, connected)
+
+
+def _linewise_edge_pairs(text: str, connected: bool) -> tuple[int, list[tuple[int, int]]]:
+    """parse_edge_pairs line by line, for text with a line _bulk_pairs refuses."""
     lines = _data_lines(text)[0]
     if not lines:
         raise InputError("empty edge list: missing the 'n m' header line")
     no, head = lines[0]
     n, m = _parse_pair(head, no)
+    _check_header(n, m, no, connected)
+    _check_count(m, len(lines) - 1)
+    return n, [_parse_pair(line, no) for no, line in lines[1:]]
+
+
+def _check_header(n: int, m: int, no: int, connected: bool) -> None:
     check_order(n, f"line {no}: header declares")
     if connected:
         check_size(m, f"line {no}: header declares")
@@ -82,11 +139,11 @@ def parse_edge_pairs(text: str, connected: bool = False) -> tuple[int, list[tupl
                 f"line {no}: header declares n={n} vertices and m={m} edges; "
                 f"a connected graph needs at least {n - 1}"
             )
-    if len(lines) - 1 != m:
-        raise InputError(
-            f"header announces {m} edges but the file has {len(lines) - 1}"
-        )
-    return n, [_parse_pair(line, no) for no, line in lines[1:]]
+
+
+def _check_count(m: int, found: int) -> None:
+    if found != m:
+        raise InputError(f"header announces {m} edges but the file has {found}")
 
 
 def parse_edge_list(text: str, connected: bool = False) -> Graph:
@@ -102,6 +159,21 @@ def format_edge_list(g: Graph) -> str:
 
 def parse_completion(text: str) -> CompletionSet:
     """Completion file: "u v" lines, counted by an optional "# additions=N" (the last one)."""
+    head, _, body = text.partition("\n")
+    count = _ints(_COUNT_LINE.fullmatch(head))
+    pairs = _bulk_pairs(body if count else text)
+    if pairs is None:
+        declared, pairs = _linewise_completion(text)
+    else:
+        declared = count[0] if count else None
+    if declared is not None and declared != len(pairs):
+        raise InputError(f"file declares additions={declared} but lists {len(pairs)} pairs")
+    return CompletionSet(pairs)
+
+
+def _linewise_completion(text: str) -> tuple[int | None, list[tuple[int, int]]]:
+    """The declared count and the pairs of a completion file, line by line,
+    for text with a line _bulk_pairs refuses."""
     lines, comments = _data_lines(text)
     declared: int | None = None
     for line in comments:
@@ -110,10 +182,7 @@ def parse_completion(text: str) -> CompletionSet:
                 declared = int(line.split("additions=", 1)[1])
             except ValueError:
                 raise InputError(f"bad additions count in {line!r}") from None
-    pairs = [_parse_pair(line, no) for no, line in lines]
-    if declared is not None and declared != len(pairs):
-        raise InputError(f"file declares additions={declared} but lists {len(pairs)} pairs")
-    return CompletionSet(pairs)
+    return declared, [_parse_pair(line, no) for no, line in lines]
 
 
 def format_completion(c: CompletionSet) -> str:
