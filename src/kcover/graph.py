@@ -242,7 +242,9 @@ def _unsaturated(
     nbr[v] is v's neighbour set in the graph that holds the edges.
     """
     need, cap = spec.k - 2, spec.l
-    if need == 1:
+    if need == cap == 1:  # no common neighbour, without building the intersection
+        out = [(u, v) for u, v in edges if nbr[u].isdisjoint(nbr[v])]
+    elif need == 1:
         out = [(u, v) for u, v in edges if len(nbr[u] & nbr[v]) < cap]
     else:
         out = []
