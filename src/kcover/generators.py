@@ -94,18 +94,20 @@ def gen_random_setcover(
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must be within [0, 1], got {density}")
     rng = random.Random(seed)
-    sets: list[set[int]] = [set() for _ in range(nf)]
+    members: list[list[int]] = [[] for _ in range(nf)]
+    covered = bytearray(nx)
     for i in range(nx):
         for j in range(nf):
             if rng.random() < density:
-                sets[j].add(i)
+                members[j].append(i)
+                covered[i] = 1
     for i in range(nx):
-        if not any(i in s for s in sets):
-            sets[rng.randrange(nf)].add(i)
+        if not covered[i]:
+            members[rng.randrange(nf)].append(i)
     for j in range(nf):
-        if not sets[j]:
-            sets[j].add(rng.randrange(nx))
-    return SetCoverInstance(nx, tuple(frozenset(s) for s in sets))
+        if not members[j]:
+            members[j].append(rng.randrange(nx))
+    return SetCoverInstance(nx, tuple(frozenset(m) for m in members))
 
 
 def gen_random_3partition(
