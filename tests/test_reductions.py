@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from kcover import (
     ThreePartitionInstance,
     build_setcover_k,
     build_setcover_k3,
+    brute_min_setcover,
     build_spider,
     completion_from_cover,
     completion_from_partition,
@@ -26,6 +28,7 @@ from kcover import (
     validate_completion,
 )
 
+from kcover.io import format_completion, format_edge_list, format_role_map
 from kcover.reductions import setcover_gadget_order, setcover_gadget_size
 
 from helpers import common_neighbours, pad_with_decoys, random_cover
@@ -68,6 +71,31 @@ def test_setcover_gadget_order_matches_the_built_graphs():
             rg = build_setcover_k3(inst) if k == 3 else build_setcover_k(inst, k)
             assert setcover_gadget_order(inst, k) == rg.graph.n
             assert setcover_gadget_size(inst, k) == rg.graph.m
+
+
+# sha256 of the gadgets, role maps and goodified minimum-cover completions
+# listed by _gadget_outputs below, recorded while each builder kept its own
+# vertex counter.
+GOLDEN_GADGET_SHA256 = "5603bbdfc42e33e338bfe8f5b93abec8e22869a3a4325d27b3a42cfbdaf1e5b8"
+
+
+def _gadget_outputs():
+    for seed in range(12):
+        inst = gen_random_setcover(2 + seed % 4, 1 + seed % 5, 0.4, seed)
+        for k in (3, 4, 5, 6):
+            rg = build_setcover_k3(inst) if k == 3 else build_setcover_k(inst, k)
+            c = completion_from_cover(rg, brute_min_setcover(inst))
+            good = goodify_3(rg, c) if k == 3 else goodify_k(rg, c, k)
+            yield format_edge_list(rg.graph)
+            yield format_role_map(rg)
+            yield format_completion(good)
+
+
+def test_setcover_gadget_golden_hash():
+    h = hashlib.sha256()
+    for text in _gadget_outputs():
+        h.update(text.encode())
+    assert h.hexdigest() == GOLDEN_GADGET_SHA256
 
 
 def test_three_partition_instance_validation():
