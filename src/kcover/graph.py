@@ -140,10 +140,10 @@ def _is_connected(adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], n:
 
 def neighbour_sets(pairs: Iterable[Edge]) -> dict[int, set[int]]:
     """Neighbour sets of the vertices the pairs touch."""
-    adj: dict[int, set[int]] = {}
+    adj: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in pairs:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        adj[u].add(v)
+        adj[v].add(u)
     return adj
 
 
@@ -291,10 +291,7 @@ def validate_pairs(
     edges, edge_set = _checked_edges(pairs, n)
     for e in c:
         _check_addition(e, n, e in edge_set)
-    nbr: defaultdict[int, set[int]] = defaultdict(set)
-    for a, b in chain(edges, c):
-        nbr[a].add(b)
-        nbr[b].add(a)
+    nbr = neighbour_sets(chain(edges, c))
     violations = tuple(_unsaturated(nbr, chain(edges, c), spec))
     connected = _is_connected(nbr, n) if len(nbr) == n else n <= 1
     return CoverCheck(ok=not violations and connected, violations=violations, connected=connected)

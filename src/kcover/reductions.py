@@ -172,6 +172,29 @@ class LabeledReductionGraph:
         )
 
 
+class _Gadget:
+    """Roles and edges of a reduction graph being built.  A new vertex has a
+    larger id than every vertex it joins, so edges are appended already ordered."""
+
+    def __init__(self) -> None:
+        self.roles: list[Role] = []
+        self.edges: list[Edge] = []
+
+    def add(self, count: int, kind: str, index: int | None = None) -> range:
+        """Record count new vertices of one role; return their ids."""
+        start = len(self.roles)
+        self.roles += [Role(kind, index)] * count
+        return range(start, start + count)
+
+    def build(self, k: int) -> LabeledReductionGraph:
+        return LabeledReductionGraph.from_roles(Graph(len(self.roles), self.edges), self.roles, k)
+
+
+def _memberships(inst: SetCoverInstance) -> list[tuple[int, int]]:
+    """The (item, set) pairs with the item in the set, item by item."""
+    return [(i, j) for i in range(inst.universe_size) for j, s in enumerate(inst.sets) if i in s]
+
+
 def build_setcover_k3(inst: SetCoverInstance) -> LabeledReductionGraph:
     """Encode SET-COVER as triangle completion.
 
@@ -179,35 +202,18 @@ def build_setcover_k3(inst: SetCoverInstance) -> LabeledReductionGraph:
     edges connect the item blobs to the common vertex, and the cheapest way to
     fix a blob is the anchor edge of a covering set.
     """
-    nf = len(inst.sets)
+    g = _Gadget()
+    for j in range(len(inst.sets)):  # set j is vertex j
+        g.add(1, "set", j)
     nx = inst.universe_size
-    roles: list[Role] = [Role("set", j) for j in range(nf)]
-    edges: list[Edge] = []
-    nxt = nf
-    item_ids: list[tuple[int, ...]] = []
-    for i in range(nx):
-        ids = tuple(range(nxt, nxt + 2 * nx))
-        nxt += 2 * nx
-        item_ids.append(ids)
-        roles += [Role("item", i)] * (2 * nx)
-    for i in range(nx):
-        for j in range(nf):
-            if i not in inst.sets[j]:
-                continue
-            for v in item_ids[i]:
-                edges.append(norm_edge(j, v))
-                w = nxt
-                nxt += 1
-                roles.append(Role("aux"))
-                edges.append(norm_edge(j, w))
-                edges.append(norm_edge(v, w))
-    common = nxt
-    nxt += 1
-    roles.append(Role("common"))
-    for ids in item_ids:
-        for v in ids:
-            edges.append(norm_edge(v, common))
-    return LabeledReductionGraph.from_roles(Graph(nxt, edges), roles, 3)
+    item_ids = [g.add(2 * nx, "item", i) for i in range(nx)]
+    for i, j in _memberships(inst):
+        for v in item_ids[i]:
+            (w,) = g.add(1, "aux")
+            g.edges += [(j, v), (j, w), (v, w)]
+    (common,) = g.add(1, "common")
+    g.edges += [(v, common) for ids in item_ids for v in ids]
+    return g.build(3)
 
 
 def build_setcover_k(inst: SetCoverInstance, k: int) -> LabeledReductionGraph:
@@ -220,56 +226,28 @@ def build_setcover_k(inst: SetCoverInstance, k: int) -> LabeledReductionGraph:
     """
     if k < 4:
         raise InputError(f"this construction needs k >= 4, got {k}")
-    nf = len(inst.sets)
-    nx = inst.universe_size
-    roles: list[Role] = []
-    edges: list[Edge] = []
-    nxt = 0
-    item_ids: list[tuple[int, int]] = []
-    for i in range(nx):
-        item_ids.append((nxt, nxt + 1))
-        roles += [Role("item-endpoint", i)] * 2
-        edges.append((nxt, nxt + 1))
-        nxt += 2
-    set_ids: list[tuple[int, ...]] = []
-    for j in range(nf):
-        ids = tuple(range(nxt, nxt + (k - 2)))
-        nxt += k - 2
-        roles += [Role("set-subgraph", j)] * (k - 2)
-        set_ids.append(ids)
-        for a, b in combinations(ids, 2):
-            if (a, b) != (ids[0], ids[1]):
-                edges.append((a, b))
-    for i in range(nx):
-        for j in range(nf):
-            if i not in inst.sets[j]:
-                continue
-            for endpoint in item_ids[i]:
-                for gv in set_ids[j]:
-                    edges.append(norm_edge(endpoint, gv))
-    item_edge_set = set(item_ids)
+    g = _Gadget()
+    item_ids = [g.add(2, "item-endpoint", i) for i in range(inst.universe_size)]
+    set_ids = [g.add(k - 2, "set-subgraph", j) for j in range(len(inst.sets))]
+    g.edges += [(x, y) for x, y in item_ids]
 
     def wrap(e: Edge) -> None:
-        nonlocal nxt
-        fresh = list(range(nxt, nxt + (k - 2)))
-        nxt += k - 2
-        roles.extend(Role("aux") for _ in fresh)
-        for f in fresh:
-            edges.append(norm_edge(e[0], f))
-            edges.append(norm_edge(e[1], f))
-        edges.extend(combinations(fresh, 2))
+        fresh = g.add(k - 2, "aux")
+        g.edges.append(e)
+        g.edges += [(u, f) for f in fresh for u in e]
+        g.edges += combinations(fresh, 2)
 
-    for e in list(edges):
-        if e not in item_edge_set:
+    for ids in set_ids:
+        for e in list(combinations(ids, 2))[1:]:  # all but the anchor (ids[0], ids[1])
             wrap(e)
-    common = nxt
-    nxt += 1
-    roles.append(Role("common"))
-    for j in range(nf):
-        e = norm_edge(set_ids[j][0], common)
-        edges.append(e)
-        wrap(e)
-    return LabeledReductionGraph.from_roles(Graph(nxt, edges), roles, k)
+    for i, j in _memberships(inst):
+        for x in item_ids[i]:
+            for v in set_ids[j]:
+                wrap((x, v))
+    (common,) = g.add(1, "common")
+    for ids in set_ids:
+        wrap((ids[0], common))
+    return g.build(k)
 
 
 def setcover_gadget_order(inst: SetCoverInstance, k: int) -> int:
@@ -309,11 +287,10 @@ class _AnchorPurchase:
     so an edge's saturation is probed without building a graph.
     """
 
-    def __init__(self, rg: LabeledReductionGraph, c: CompletionSet, k: int):
-        if not validate_completion(rg.graph, c, CoverSpec(k, 1)).ok:
+    def __init__(self, rg: LabeledReductionGraph, c: CompletionSet):
+        if not validate_completion(rg.graph, c, CoverSpec(rg.k, 1)).ok:
             raise InputError("input is not a valid completion of the reduction graph")
         self.rg = rg
-        self.k = k
         self.nbr = [set(a) for a in rg.graph.adj]
         self.out: list[Edge] = []
 
@@ -338,14 +315,14 @@ class _AnchorPurchase:
         nbr = self.nbr
         if v not in nbr[u]:
             raise InputError(f"({u},{v}) is not an edge")
-        return _count_cliques(nbr, nbr[u] & nbr[v], self.k - 2, 1) >= 1
+        return _count_cliques(nbr, nbr[u] & nbr[v], self.rg.k - 2, 1) >= 1
 
 
 def goodify_3(rg: LabeledReductionGraph, c: CompletionSet) -> CompletionSet:
     """Rewrite a valid triangle completion into anchor edges only, no larger."""
     if rg.k != 3:
         raise InputError("this rewrite applies to the k=3 construction")
-    bought = _AnchorPurchase(rg, c, 3)
+    bought = _AnchorPurchase(rg, c)
     for i, ids in enumerate(rg.item_ids):
         blob = set(ids)
         if any(u in blob and v in blob for (u, v) in c):
@@ -363,7 +340,7 @@ def goodify_k(rg: LabeledReductionGraph, c: CompletionSet, k: int) -> Completion
         raise InputError("this rewrite applies to the k >= 4 construction")
     if k != rg.k:
         raise InputError(f"k={k} does not match the construction's k={rg.k}")
-    bought = _AnchorPurchase(rg, c, k)
+    bought = _AnchorPurchase(rg, c)
     bought.buy_anchors_in(c)
     vertex_set = {v: j for j, ids in enumerate(rg.set_ids) for v in ids}
     for u, v in c:

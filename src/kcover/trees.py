@@ -538,16 +538,9 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
         if child_count[survivor] > 0:
             heapq.heappush(buckets[depth[survivor]], (-child_count[survivor], survivor))
         cut(tree_edges, banked_pair)
-    # whatever is left around the root joins the banked forest
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        while True:
-            c = _pop_alive_child(child_heap[v], alive)
-            if c is None:
-                break
-            banked.append(norm_edge(v, c))
-            stack.append(c)
+    # what is left joins the banked forest; a vertex dies only after all its
+    # children and the root never does, so each live vertex's parent is live
+    banked += [norm_edge(parent[v], v) for v in range(1, n) if alive[v]]
     if banked:
         _check_banked_shape(banked)
         _clique_cover_loop(n, banked, 4, occupied, additions)
