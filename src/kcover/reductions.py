@@ -162,6 +162,9 @@ class LabeledReductionGraph:
             for i, ids in items.items():
                 if len(ids) != 2:
                     raise InputError(f"item {i} has {len(ids)} endpoints; k >= 4 needs 2")
+            for j, ids in sets.items():
+                if len(ids) < 2:
+                    raise InputError(f"set {j} has one vertex; k >= 4 needs at least 2")
         return cls(
             graph=graph,
             roles=tuple(roles),
@@ -317,6 +320,13 @@ class _AnchorPurchase:
             raise InputError(f"({u},{v}) is not an edge")
         return _count_cliques(nbr, nbr[u] & nbr[v], self.rg.k - 2, 1) >= 1
 
+    def buy_cover_of(self, i: int) -> None:
+        """Buy the lowest-numbered set holding item i."""
+        sets = self.rg.covering_sets(i)
+        if not sets:
+            raise InputError(f"item {i} lies in no set of the reduction graph")
+        self.buy(sets[0])
+
 
 def goodify_3(rg: LabeledReductionGraph, c: CompletionSet) -> CompletionSet:
     """Rewrite a valid triangle completion into anchor edges only, no larger."""
@@ -326,11 +336,11 @@ def goodify_3(rg: LabeledReductionGraph, c: CompletionSet) -> CompletionSet:
     for i, ids in enumerate(rg.item_ids):
         blob = set(ids)
         if any(u in blob and v in blob for (u, v) in c):
-            bought.buy(min(rg.covering_sets(i)))
+            bought.buy_cover_of(i)
     bought.buy_anchors_in(c)
     for i, ids in enumerate(rg.item_ids):
         if not bought.saturated(norm_edge(ids[0], rg.common)):
-            bought.buy(min(rg.covering_sets(i)))
+            bought.buy_cover_of(i)
     return CompletionSet(bought.out)
 
 
@@ -350,6 +360,7 @@ def goodify_k(rg: LabeledReductionGraph, c: CompletionSet, k: int) -> Completion
     added = neighbour_sets(c)  # the input's pairs by endpoint
     orig = rg.graph.edges
     while True:
+        before = len(bought.out)
         unsat = [
             i
             for i, pair in enumerate(rg.item_ids)
@@ -368,11 +379,13 @@ def goodify_k(rg: LabeledReductionGraph, c: CompletionSet, k: int) -> Completion
                 break
         if v is None:
             raise AssertionError("every clique vertex is doubly attached in the base graph")
-        bought.buy(min(rg.covering_sets(i)))
+        bought.buy_cover_of(i)
         for other in unsat[1:]:
             if v in rg.item_ids[other]:
-                bought.buy(min(rg.covering_sets(other)))
+                bought.buy_cover_of(other)
                 break
+        if len(bought.out) == before:  # a gadget's pass always buys; this one would repeat
+            raise InputError(f"item {i} stays unsaturated after its covering set is bought")
     return CompletionSet(bought.out)
 
 

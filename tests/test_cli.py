@@ -1,10 +1,15 @@
 import json
 import logging
+import os
+import subprocess
 import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from kcover import (
+    CompletionSet,
     Graph,
     SetCoverInstance,
     ThreePartitionInstance,
@@ -13,6 +18,7 @@ from kcover import (
     completion_from_cover,
     gen_random_tree,
 )
+import kcover
 from kcover import cli, io
 from kcover.cli import SOLVERS, _build_parser, main
 from kcover.io import (
@@ -382,6 +388,47 @@ def test_goodify_rejects_a_three_vertex_item_at_k4(tmp_path, capsys, quiet_env):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# role maps goodify cannot follow, each as (instance, k built, role pairs
+# exchanged, k written): a k = 3 map relabelled k = 4, so every set has one
+# vertex; an item vertex exchanged with set 0's vertex, so item 1 lies in no
+# set; and aux vertices exchanged with set-subgraph vertices, on which
+# goodify_k's purchase loop stops buying
+_TWO_ITEMS = '{"universe": 2, "sets": [[0], [0, 1], [1]], "t": null}'
+UNFOLLOWABLE_ROLE_MAPS = {
+    "one-vertex-sets": ('{"universe": 1, "sets": [[0], [0]], "t": null}', 3, [], 4),
+    "item-in-no-set": (_TWO_ITEMS, 3, [(0, 7)], 3),
+    "no-progress": (_TWO_ITEMS, 4, [(6, 39), (8, 48)], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFOLLOWABLE_ROLE_MAPS))
+def test_goodify_refuses_a_role_map_it_cannot_follow(tmp_path, case):
+    text, k, exchanged, written_k = UNFOLLOWABLE_ROLE_MAPS[case]
+    inst = parse_setcover_json(text)
+    rg = build_setcover_k3(inst) if k == 3 else build_setcover_k(inst, k)
+    gpath, rpath = tmp_path / "red.txt", tmp_path / "red.roles.json"
+    cpath, out = tmp_path / "every.txt", tmp_path / "good.txt"
+    io.write_reduction(gpath, rpath, rg)
+    data = json.loads(rpath.read_text())
+    for a, b in exchanged:
+        roles = data["roles"]
+        roles[str(a)], roles[str(b)] = roles[str(b)], roles[str(a)]
+    data["k"] = written_k
+    rpath.write_text(json.dumps(data))
+    pairs = combinations(range(rg.graph.n), 2)
+    write_completion(cpath, CompletionSet(e for e in pairs if e not in rg.graph.edges))
+    # a separate process, so that a goodify that never ends fails the test
+    env = {**os.environ, "PYTHONPATH": str(Path(kcover.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "kcover.cli", "goodify", "--graph", str(gpath),
+         "--roles", str(rpath), "--completion", str(cpath), "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def _retype_roles(data: dict, case: str) -> None:

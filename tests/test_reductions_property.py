@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -5,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcover import (
+    CompletionSet,
     CoverSpec,
+    InputError,
+    LabeledReductionGraph,
     OracleBudget,
     brute_min_completion,
     brute_min_setcover,
@@ -39,3 +44,31 @@ def test_setcover_gadget_optimum_is_a_minimum_cover_property(items, sets, seed):
         cover = extract_set_cover(rg, good)
         assert len(cover) == least
         assert set().union(*(inst.sets[j] for j in cover)) == set(range(items))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    items=st.integers(1, 3),
+    sets=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from((3, 4)),
+    exchanges=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=3),
+)
+def test_goodify_follows_or_refuses_a_role_map_with_exchanged_roles(items, sets, seed, k, exchanges):
+    # a role file is outside input: one whose roles no longer match the graph
+    # must end in anchor edges or in InputError, never in a crash or a hang
+    inst = gen_random_setcover(items, sets, 0.5, seed)
+    rg = build_setcover_k3(inst) if k == 3 else build_setcover_k(inst, k)
+    roles = list(rg.roles)
+    for a, b in exchanges:
+        a, b = a % len(roles), b % len(roles)
+        roles[a], roles[b] = roles[b], roles[a]
+    edited = LabeledReductionGraph.from_roles(rg.graph, roles, k)
+    pairs = combinations(range(rg.graph.n), 2)
+    every = CompletionSet(e for e in pairs if e not in rg.graph.edges)
+    try:
+        good = goodify_3(edited, every) if k == 3 else goodify_k(edited, every, k)
+    except InputError:
+        return
+    anchors = edited.anchor_edges()
+    assert all(e in anchors for e in good)
