@@ -1,8 +1,11 @@
 import gc
 import hashlib
+import heapq
 import math
 import random
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +25,7 @@ from kcover import (
     validate_completion,
     worst_case_spider,
 )
+from kcover import trees
 from kcover.io import format_completion
 from kcover.trees import _extract_step, _ForestPool
 
@@ -289,6 +293,34 @@ def test_approx_tree_4_random_trees():
 def test_approx_tree_4_deterministic():
     g = gen_random_tree(40, 11)
     assert list(approx_tree_4(rooted(g))) == list(approx_tree_4(rooted(g)))
+
+
+def test_approx_tree_4_counted_heap_work_scales_per_doubling(monkeypatch):
+    # A deterministic stand-in for a doubling-time test: every heap push and
+    # pop in kcover.trees is counted (approx_tree_4's depth buckets and child
+    # heaps, and the forest pool's heaps in phase two).  O(n log n) work at
+    # most 2.2x per doubling of n; on these inputs it is 1.99-2.01x.
+    counts = Counter()
+
+    def heappush(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
+
+    def heappop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(trees, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
+    for family in (lambda n: gen_random_tree(n, 7), lambda n: worst_case_spider(n + 1)):
+        work = []
+        for n in (10_000, 20_000, 40_000):
+            t = rooted(family(n))
+            counts.clear()
+            approx_tree_4(t)
+            work.append((counts["push"], counts["pop"]))
+        assert min(work[0]) > 0
+        for small, large in zip(work, work[1:]):
+            assert all(b <= 2.2 * a for a, b in zip(small, large)), work
 
 
 def _best_of(times: int, fn) -> float:
