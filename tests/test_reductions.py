@@ -17,6 +17,7 @@ from kcover import (
     completion_from_cover,
     completion_from_partition,
     extract_set_cover,
+    gen_random_3partition,
     gen_random_setcover,
     goodify_3,
     goodify_k,
@@ -376,6 +377,54 @@ def test_partition_from_edge_partition_rejects_bad_groups():
     ]
     with pytest.raises(InputError):
         partition_from_edge_partition(skew, build_spider(skew), bad)
+
+
+def _three_partition_map_outputs():
+    """Both 3-PARTITION inverse maps on seeded yes-instances with shuffled
+    leg numbering, plus their refusals of a swapped leg and a split leg."""
+    for p in range(1, 7):
+        for s in range(9, 31, 3):
+            for seed in range(2):
+                base, witness = gen_random_3partition(p, s, seed)
+                rng = random.Random(1000 * p + 10 * s + seed)
+                pos = rng.sample(range(3 * p), 3 * p)  # old leg i becomes leg pos[i]
+                values = [0] * (3 * p)
+                for i, v in enumerate(base.values):
+                    values[pos[i]] = v
+                inst = ThreePartitionInstance(s, values)
+                triples = [[pos[i] for i in t] for t in witness]
+                sp = build_spider(inst)
+                groups = [[e for leg in t for e in spider_leg_edges(inst, leg)] for t in triples]
+                for group in groups:
+                    rng.shuffle(group)
+                rng.shuffle(groups)
+                bad_triples = [list(t) for t in triples]
+                bad_groups = [list(group) for group in groups]
+                if p > 1:
+                    bad_triples[0][0], bad_triples[1][0] = bad_triples[1][0], bad_triples[0][0]
+                    bad_groups[0][0], bad_groups[1][0] = bad_groups[1][0], bad_groups[0][0]
+                for partition in (triples, bad_triples):
+                    try:
+                        yield format_completion(completion_from_partition(inst, sp, partition))
+                    except InputError as exc:
+                        yield f"error: {exc}"
+                for edge_groups in (groups, bad_groups):
+                    try:
+                        yield repr(partition_from_edge_partition(inst, sp, edge_groups))
+                    except InputError as exc:
+                        yield f"error: {exc}"
+
+
+# sha256 of _three_partition_map_outputs, recorded when both maps recomputed
+# each leg's vertex range per call; a rewrite must reproduce it exactly.
+GOLDEN_3PARTITION_MAPS_SHA256 = "7acf203054745571dced221208bf7cfa767a7dab022c25d4646566e56d369371"
+
+
+def test_three_partition_maps_golden_hash():
+    h = hashlib.sha256()
+    for out in _three_partition_map_outputs():
+        h.update(out.encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_3PARTITION_MAPS_SHA256
 
 
 def test_gen_random_setcover_is_valid_and_deterministic():
