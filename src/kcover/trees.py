@@ -416,15 +416,15 @@ def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
     return CompletionSet(additions)
 
 
-def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSet:
+def approx_tree_4(t: RootedTree) -> CompletionSet:
     """Cover every tree edge by a 4-clique using at most 2(n-1) additions.
 
     Phase one repeatedly completes a well-chosen 4-vertex subtree around the
-    deepest leaf with the most siblings, banking at most one detached edge per
-    step; phase two covers the banked forest with the generic k=4 loop.
-
-    With check_invariants=True the residual shape is re-verified after every
-    cut (at most two non-trivial components, any second one a single edge).
+    deepest leaf with the most siblings: three of its vertices leave the
+    residual tree and one stays, and at most one detached edge is banked per
+    step.  Every step checks that no vertex that left keeps a live child, so
+    the live vertices still form one tree.  Phase two covers the banked
+    forest with the generic k=4 loop.
     """
     g = t.base
     n = g.n
@@ -443,28 +443,6 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
     for v in range(n):
         if child_count[v]:
             heapq.heappush(buckets[depth[v]], (-child_count[v], v))
-    resid: dict[int, set[int]] | None = None
-    if check_invariants:
-        resid = {v: set(g.adj[v]) for v in range(n)}
-
-    def cut(edges: list[Edge], banked_pair: Edge | None) -> None:
-        if resid is None:
-            return
-        for u, v in edges:
-            resid[u].discard(v)
-            resid[v].discard(u)
-        comps = [c for c in components(resid, resid) if len(c) > 1]
-        if len(comps) > 2:
-            raise AssertionError(f"cut left {len(comps)} non-trivial components")
-        if len(comps) == 2 and banked_pair is None:
-            raise AssertionError("two residual components but nothing banked")
-        if banked_pair is not None:
-            if not any(len(c) == 2 and set(c) == set(banked_pair) for c in comps):
-                raise AssertionError("banked edge is not a residual component")
-            bu, bv = banked_pair
-            resid[bu].discard(bv)
-            resid[bv].discard(bu)
-
     occupied = set(g.edges)
     additions: list[Edge] = []
     banked: list[Edge] = []
@@ -479,67 +457,46 @@ def approx_tree_4(t: RootedTree, check_invariants: bool = False) -> CompletionSe
             neg_count, u = heapq.heappop(buckets[top])
             if alive[u] and child_count[u] == -neg_count:
                 break
-        vj = _pop_alive_child(child_heap[u], alive)
-        assert vj is not None
-        banked_pair: Edge | None = None
+        # the cases only pick the three vertices that leave and the one that stays
+        kids = child_heap[u]
+        dead = [_pop_alive_child(kids, alive)]
         if child_count[u] >= 3:
-            v1 = _pop_alive_child(child_heap[u], alive)
-            v2 = _pop_alive_child(child_heap[u], alive)
-            assert v1 is not None and v2 is not None
-            quad = (vj, v1, v2, u)
-            dead = (vj, v1, v2)
-            tree_edges = [norm_edge(u, vj), norm_edge(u, v1), norm_edge(u, v2)]
-            child_count[u] -= 3
+            dead += [_pop_alive_child(kids, alive), _pop_alive_child(kids, alive)]
             survivor = u
         elif child_count[u] == 2:
-            v1 = _pop_alive_child(child_heap[u], alive)
-            assert v1 is not None
-            w = parent[u]
-            assert w != u, "a star on >= 4 vertices has >= 3 leaves"
-            quad = (vj, v1, u, w)
-            dead = (vj, v1, u)
-            tree_edges = [norm_edge(u, vj), norm_edge(u, v1), norm_edge(w, u)]
-            child_count[w] -= 1
-            survivor = w
+            dead += [_pop_alive_child(kids, alive), u]
+            survivor = parent[u]
         else:
             w = parent[u]
-            assert w != u
-            u1 = None
-            if child_count[w] >= 2:
-                u1 = _pop_alive_child(child_heap[w], alive, skip=u)
-            if u1 is not None:
-                quad = (vj, u, u1, w)
-                tree_edges = [norm_edge(u, vj), norm_edge(w, u), norm_edge(w, u1)]
-                child_count[w] -= 2
-                if child_count[u1]:
-                    c = _pop_alive_child(child_heap[u1], alive)
-                    assert c is not None
-                    banked_pair = norm_edge(u1, c)
-                    banked.append(banked_pair)
-                    dead = (vj, u, u1, c)
-                else:
-                    dead = (vj, u, u1)
-                survivor = w
+            u1 = _pop_alive_child(child_heap[w], alive, skip=u) if child_count[w] >= 2 else None
+            if u1 is None:
+                dead += [u, w]
+                survivor = parent[w]
             else:
-                x = parent[w]
-                assert x != w, "a three-vertex path cannot have >= 4 vertices"
-                quad = (vj, u, w, x)
-                dead = (vj, u, w)
-                tree_edges = [norm_edge(u, vj), norm_edge(w, u), norm_edge(x, w)]
-                child_count[x] -= 1
-                survivor = x
-        for d in dead:
-            alive[d] = False
-        live -= len(dead)
-        for a, b in combinations(sorted(quad), 2):
+                dead += [u, u1]
+                survivor = w
+                if child_count[u1]:
+                    # u1's one child leaves too; its edge is banked for phase two
+                    c = _pop_alive_child(child_heap[u1], alive)
+                    banked.append(norm_edge(u1, c))
+                    dead.append(c)
+        # the 4-clique: the survivor and the three that leave, not a banked child
+        for a, b in combinations(sorted([survivor, *dead[:3]]), 2):
             if (a, b) not in occupied:
                 occupied.add((a, b))
                 additions.append((a, b))
+        for d in dead:
+            alive[d] = False
+            child_count[parent[d]] -= 1
+        live -= len(dead)
+        # whenever the root would leave, it is also the survivor
+        assert alive[survivor] and not any(map(child_count.__getitem__, dead)), (
+            "a vertex that left keeps a live child, or the survivor left"
+        )
         if child_count[survivor] > 0:
             heapq.heappush(buckets[depth[survivor]], (-child_count[survivor], survivor))
-        cut(tree_edges, banked_pair)
-    # what is left joins the banked forest; a vertex dies only after all its
-    # children and the root never does, so each live vertex's parent is live
+    # what is left joins the banked forest; by the check above the root is
+    # live and so is each live vertex's parent
     banked += [norm_edge(parent[v], v) for v in range(1, n) if alive[v]]
     if banked:
         _check_banked_shape(banked)

@@ -167,18 +167,18 @@ def test_criterion_4_four_clique_bounds():
     for _ in range(1000):
         n = rng.randint(4, 500)
         g = gen_random_tree(n, rng.randrange(10**9))
-        c = approx_tree_4(rooted(g), check_invariants=True)
+        c = approx_tree_4(rooted(g))
         assert len(c) <= 2 * (n - 1)
     for _ in range(50):
         n = rng.randint(500, 1200)
         g = gen_random_tree(n, rng.randrange(10**9))
-        c = approx_tree_4(rooted(g), check_invariants=True)
+        c = approx_tree_4(rooted(g))
         assert len(c) <= 1.26 * (n - 1)
 
     ratios = {}
     for n in (15, 99, 1001):
         spider = worst_case_spider(n)
-        c = approx_tree_4(rooted(spider), check_invariants=True)
+        c = approx_tree_4(rooted(spider))
         assert validate_completion(spider, c, CoverSpec(4, 1)).ok
         ratios[n] = len(c) / (n - 1)
         assert ratios[n] <= 2.0

@@ -271,7 +271,7 @@ def test_approx_tree_4_frozen_examples():
     assert validate_completion(p4, c, CoverSpec(4, 1)).ok
 
     spider = worst_case_spider(15)
-    c = approx_tree_4(rooted(spider), check_invariants=True)
+    c = approx_tree_4(rooted(spider))
     assert len(c) == 19
     assert len(c) <= 2 * 14
     assert validate_completion(spider, c, CoverSpec(4, 1)).ok
@@ -284,7 +284,7 @@ def test_approx_tree_4_random_trees():
     for seed in range(50):
         n = 4 + seed * 3
         g = gen_random_tree(n, seed)
-        c = approx_tree_4(rooted(g), check_invariants=True)
+        c = approx_tree_4(rooted(g))
         assert len(c) <= 2 * (n - 1)
         assert validate_completion(g, c, CoverSpec(4, 1)).ok
         assert validate_completion(g, c, CoverSpec(3, 2)).ok
