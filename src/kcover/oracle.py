@@ -18,6 +18,11 @@ from .reductions import SetCoverInstance
 log = logging.getLogger("kcover")
 
 
+# _Search keeps one n-bit mask per vertex, so its memory grows as n^2; larger
+# graphs are refused before it is built.
+MAX_SEARCH_VERTICES = 1024
+
+
 class InconclusiveError(Exception):
     """A brute-force search hit its stated limits before finishing."""
 
@@ -199,6 +204,8 @@ def brute_min_completion(
     """
     if budget is None:
         budget = OracleBudget()
+    if g.n > MAX_SEARCH_VERTICES:
+        raise InputError(f"search supports at most {MAX_SEARCH_VERTICES} vertices, got {g.n}")
     if g.n < spec.k:
         raise InputError(f"need at least {spec.k} vertices, got {g.n}")
     if not g.is_connected():

@@ -19,7 +19,7 @@ from kcover import (
     gen_random_tree,
 )
 import kcover
-from kcover import cli, io
+from kcover import cli, io, oracle
 from kcover.cli import SOLVERS, _build_parser, main
 from kcover.io import (
     format_edge_list,
@@ -229,6 +229,19 @@ def test_solve_brute_inconclusive_budget(tmp_path, capsys, quiet_env):
     ])
     assert code == 3
     assert "inconclusive" in capsys.readouterr().err
+
+
+def test_solve_brute_refuses_a_graph_over_the_oracle_cap(tmp_path, capsys, quiet_env, monkeypatch):
+    def refuse_search(*args):
+        raise AssertionError("_Search was built for a graph over the vertex cap")
+
+    monkeypatch.setattr(oracle, "_Search", refuse_search)
+    gpath = tmp_path / "g.txt"
+    write_graph(gpath, path_graph(1025))  # one vertex over the oracle's cap
+    code = main(["solve", "--alg", "brute", "--in", str(gpath), "--out", str(tmp_path / "c.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: search supports at most 1024 vertices, got 1025\n"
+    assert not (tmp_path / "c.txt").exists()
 
 
 def test_solve_usage_errors(tmp_path, capsys, quiet_env):

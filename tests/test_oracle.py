@@ -69,6 +69,17 @@ def test_oracle_rejects_bad_inputs():
         brute_min_completion(path_graph(3), CoverSpec(4, 1))  # n < k
 
 
+def test_oracle_refuses_a_graph_over_its_vertex_cap_before_searching(monkeypatch):
+    # the search's bitmasks take memory quadratic in n: a 40,001-vertex path
+    # peaked at 137 MB before the cap
+    def refuse_search(*args):
+        raise AssertionError("_Search was built for a graph over the vertex cap")
+
+    monkeypatch.setattr(oracle, "_Search", refuse_search)
+    with pytest.raises(InputError, match="^search supports at most 1024 vertices, got 1025$"):
+        brute_min_completion(path_graph(1025), CoverSpec(3, 1))
+
+
 def test_oracle_budget_validation():
     with pytest.raises(InputError):
         OracleBudget(max_additions=0)
