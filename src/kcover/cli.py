@@ -221,8 +221,8 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--k", type=int, default=None)
     p_solve.add_argument("--l", type=int, default=1)
-    p_solve.add_argument("--max-additions", type=int, default=8)
-    p_solve.add_argument("--max-nodes", type=int, default=10_000_000)
+    p_solve.add_argument("--max-additions", type=int, default=OracleBudget.max_additions)
+    p_solve.add_argument("--max-nodes", type=int, default=OracleBudget.max_nodes)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_check = sub.add_parser("check", help="validate a completion set")
