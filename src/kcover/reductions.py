@@ -9,8 +9,9 @@ completion.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -455,6 +456,8 @@ def completion_from_partition(
         used.extend(triple)
     if sorted(used) != list(range(len(inst.values))):
         raise InputError("partition must use every leg exactly once")
+    # leg i holds the vertices starts[i] .. starts[i + 1] - 1
+    starts = list(accumulate(inst.values, initial=1))
     additions: list[Edge] = []
     for triple in partition:
         total = sum(inst.values[i] for i in triple)
@@ -464,7 +467,7 @@ def completion_from_partition(
             )
         verts = [0]
         for leg in triple:
-            verts.extend(spider_leg_vertices(inst, leg))
+            verts.extend(range(starts[leg], starts[leg + 1]))
         for a, b in combinations(sorted(verts), 2):
             if (a, b) not in spider.edges:
                 additions.append((a, b))
@@ -480,10 +483,10 @@ def partition_from_edge_partition(
     s-edge subtrees: each subtree must consist of whole legs, necessarily
     three of them."""
     _check_spider(inst, spider)
-    leg_of: dict[Edge, int] = {}
-    for leg in range(len(inst.values)):
-        for e in spider_leg_edges(inst, leg):
-            leg_of[e] = leg
+    # a spider edge belongs to the leg of its larger endpoint
+    leg_of = [-1]  # the center
+    for leg, length in enumerate(inst.values):
+        leg_of += [leg] * length
     norm_groups: list[list[Edge]] = []
     seen: set[Edge] = set()
     for group in groups:
@@ -503,9 +506,12 @@ def partition_from_edge_partition(
             raise InputError(
                 f"group has {len(g_edges)} edges, expected {inst.target}"
             )
-        legs = sorted({leg_of[e] for e in g_edges})
+        # the groups' edges are distinct spider edges, so a leg is whole in a
+        # group that holds as many of its edges as the leg has
+        held = Counter(leg_of[v] for _, v in g_edges)
+        legs = sorted(held)
         for leg in legs:
-            if not set(spider_leg_edges(inst, leg)).issubset(g_edges):
+            if held[leg] != inst.values[leg]:
                 raise InputError(f"leg {leg} is split between groups")
         if len(legs) != 3:
             raise InputError(f"group contains {len(legs)} whole legs, expected 3")
