@@ -70,8 +70,8 @@ def test_oracle_rejects_bad_inputs():
 
 
 def test_oracle_refuses_a_graph_over_its_vertex_cap_before_searching(monkeypatch):
-    # the search's bitmasks take memory quadratic in n: a 40,001-vertex path
-    # peaked at 137 MB before the cap
+    # the search's bitmasks take memory quadratic in n: solve --alg brute on a
+    # 40,000-vertex path reached 138 MB before the cap
     def refuse_search(*args):
         raise AssertionError("_Search was built for a graph over the vertex cap")
 
