@@ -6,6 +6,7 @@ import pytest
 from kcover import (
     CompletionSet,
     CoverSpec,
+    Graph,
     InputError,
     LabeledReductionGraph,
     SetCoverInstance,
@@ -32,7 +33,7 @@ from kcover import (
 from kcover.io import format_completion, format_edge_list, format_role_map
 from kcover.reductions import setcover_gadget_order, setcover_gadget_size
 
-from helpers import common_neighbours, pad_with_decoys, random_cover
+from helpers import common_neighbours, pad_with_decoys, path_graph, random_cover
 
 FIG = SetCoverInstance(3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})])
 MICRO = SetCoverInstance(1, [frozenset({0})])
@@ -338,6 +339,27 @@ def test_completion_from_partition_rejects_bad_partitions():
     skew = ThreePartitionInstance(10, (3, 3, 4, 3, 3, 4))
     with pytest.raises(InputError):
         completion_from_partition(skew, build_spider(skew), [(0, 1, 3), (2, 4, 5)])
+
+
+@pytest.mark.parametrize(
+    "spider",
+    [
+        spider_graph([4, 3, 3, 3, 4, 3]),  # the legs in another order: same n and m
+        path_graph(21),  # same n and m, no spider at all
+        spider_graph([3, 3, 4, 3, 3, 4, 1]),  # one vertex too many
+        Graph(21, [(0, 1), (1, 2)]),  # same n, too few edges
+    ],
+)
+def test_both_inverse_maps_refuse_a_spider_unlike_the_instance(spider):
+    skew = ThreePartitionInstance(10, (3, 3, 4, 3, 3, 4))
+    refusal = "^spider does not match the instance's leg layout$"
+    groups = [
+        [e for leg in legs for e in spider_leg_edges(skew, leg)] for legs in ((0, 1, 2), (3, 4, 5))
+    ]
+    with pytest.raises(InputError, match=refusal):
+        completion_from_partition(skew, spider, [(0, 1, 2), (3, 4, 5)])
+    with pytest.raises(InputError, match=refusal):
+        partition_from_edge_partition(skew, spider, groups)
 
 
 def _leg_group(triple: tuple[int, int, int]) -> list[tuple[int, int]]:
