@@ -436,7 +436,15 @@ def spider_leg_edges(inst: ThreePartitionInstance, leg: int) -> list[Edge]:
 
 
 def _check_spider(inst: ThreePartitionInstance, spider: Graph) -> None:
-    if spider != build_spider(inst):
+    """Refuse a graph other than build_spider(inst), checked on the graph given:
+    with n and m right, it is that spider when every vertex is joined to the
+    one before it on its leg, the center for a leg's first vertex."""
+    n = 1 + sum(inst.values)
+    firsts = set(accumulate(inst.values, initial=1))
+    edges = spider.edges
+    if spider.n != n or spider.m != n - 1 or not all(
+        (0 if v in firsts else v - 1, v) in edges for v in range(1, n)
+    ):
         raise InputError("spider does not match the instance's leg layout")
 
 
