@@ -53,13 +53,32 @@ class RootedTree:
         return out
 
 
-def _pop_alive_child(heap: list[int], alive: list[bool], skip: int = -1) -> int | None:
-    """Smallest alive child from a consume-only heap; `skip` is discarded too."""
+def _pop_alive_child(heap: list[int], count: list[int], skip: int = -1) -> int | None:
+    """Smallest live child from a consume-only heap; `skip` is discarded too."""
     while heap:
         c = heapq.heappop(heap)
-        if alive[c] and c != skip:
+        if count[c] >= 0 and c != skip:
             return c
     return None
+
+
+def _leave(parent: Sequence[int], count: list[int], gone: Sequence[int]) -> None:
+    """Take one step's vertices out of a residual tree, whose `count` is
+    each vertex's live-child count or -1 once it is gone.  The root stays and
+    no vertex leaves with a live child, so the live vertices stay one tree."""
+    for d in gone:
+        count[parent[d]] -= 1
+    for d in gone:
+        assert count[d] == 0 and parent[d] != d, "the root or a parent of a live vertex left"
+        count[d] = -1
+
+
+def _add_clique(vertices: Sequence[int], occupied: set[Edge], additions: list[Edge]) -> None:
+    """Add each pair of the ascending `vertices` that is not yet occupied."""
+    for e in combinations(vertices, 2):
+        if e not in occupied:
+            occupied.add(e)
+            additions.append(e)
 
 
 def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
@@ -74,35 +93,26 @@ def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
     if n < 3:
         raise InputError("edge partition needs at least 3 vertices")
     parent = t.parent
-    alive = [True] * n
     # consume-only heaps of each vertex's children: ascending lists already are
     child_heap = t.children()
-    child_count = [len(h) for h in child_heap]
+    count = [len(h) for h in child_heap]
     live = n
     groups: list[tuple[Edge, ...]] = []
     # deepest first, ties to the lowest id (the sort is stable)
     for v in sorted(range(n), key=t.depth.__getitem__, reverse=True):
         if live < 2:
             break
-        if not alive[v]:
+        if count[v] < 0:
             continue
         u = parent[v]
-        # the deepest alive vertex is a leaf of the residual tree
+        # the deepest live vertex is a leaf of the residual tree
         if live == 2:
             groups.append((norm_edge(u, v),))
             break
-        if child_count[u] >= 2:
-            v1 = _pop_alive_child(child_heap[u], alive, skip=v)
-            assert v1 is not None
-            groups.append(tuple(sorted((norm_edge(u, v), norm_edge(u, v1)))))
-            alive[v] = alive[v1] = False
-            child_count[u] -= 2
-        else:
-            w = parent[u]
-            assert w != u, "a lone root-leaf pair is handled by the live==2 case"
-            groups.append(tuple(sorted((norm_edge(u, v), norm_edge(w, u)))))
-            alive[v] = alive[u] = False
-            child_count[w] -= 1
+        # v leaves with a sibling if it has one, else with its parent
+        mate = _pop_alive_child(child_heap[u], count, skip=v) if count[u] >= 2 else u
+        _leave(parent, count, (v, mate))
+        groups.append(tuple(sorted((norm_edge(u, v), norm_edge(parent[mate], mate)))))
         live -= 2
     return groups
 
@@ -395,10 +405,7 @@ def _clique_cover_loop(
         vertices, edges = _extract_step(pool, k)
         if len(vertices) < k:
             vertices = sorted(vertices + _pad_vertices(vertices, n, k - len(vertices)))
-        for a, b in combinations(vertices, 2):
-            if (a, b) not in occupied:
-                occupied.add((a, b))
-                additions.append((a, b))
+        _add_clique(vertices, occupied, additions)
         covered.append(len(edges))
     return covered, pool.explored
 
@@ -431,73 +438,63 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     if n < 4:
         raise InputError(f"tree has {n} vertices, needs at least 4")
     parent = t.parent
-    alive = [True] * n
     # consume-only heaps of each vertex's children: ascending lists already are
     child_heap = t.children()
-    child_count = [len(h) for h in child_heap]
+    count = [len(h) for h in child_heap]
     depth = t.depth
     # per-depth heaps of (-child count, vertex); vertices never change depth,
     # so the deepest non-empty one only moves toward the root
     top = max(depth)
     buckets: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
     for v in range(n):
-        if child_count[v]:
-            heapq.heappush(buckets[depth[v]], (-child_count[v], v))
+        if count[v]:
+            heapq.heappush(buckets[depth[v]], (-count[v], v))
     occupied = set(g.edges)
     additions: list[Edge] = []
     banked: list[Edge] = []
     live = n
     while live >= 4:
         # deepest first, then most children, then lowest id; an entry is
-        # stale once its vertex died or its child count changed
+        # stale once its vertex's child count changed or it left
         while True:
             while not buckets[top]:
                 top -= 1
                 assert top >= 0, "a residual tree on >= 4 vertices has an internal node"
             neg_count, u = heapq.heappop(buckets[top])
-            if alive[u] and child_count[u] == -neg_count:
+            if count[u] == -neg_count:
                 break
         # the cases only pick the three vertices that leave and the one that stays
         kids = child_heap[u]
-        dead = [_pop_alive_child(kids, alive)]
-        if child_count[u] >= 3:
-            dead += [_pop_alive_child(kids, alive), _pop_alive_child(kids, alive)]
+        dead = [_pop_alive_child(kids, count)]
+        if count[u] >= 3:
+            dead += [_pop_alive_child(kids, count), _pop_alive_child(kids, count)]
             survivor = u
-        elif child_count[u] == 2:
-            dead += [_pop_alive_child(kids, alive), u]
+        elif count[u] == 2:
+            dead += [_pop_alive_child(kids, count), u]
             survivor = parent[u]
         else:
             w = parent[u]
-            u1 = _pop_alive_child(child_heap[w], alive, skip=u) if child_count[w] >= 2 else None
+            u1 = _pop_alive_child(child_heap[w], count, skip=u) if count[w] >= 2 else None
             if u1 is None:
                 dead += [u, w]
                 survivor = parent[w]
             else:
                 dead += [u, u1]
                 survivor = w
-                if child_count[u1]:
+                if count[u1]:
                     # u1's one child leaves too; its edge is banked for phase two
-                    c = _pop_alive_child(child_heap[u1], alive)
+                    c = _pop_alive_child(child_heap[u1], count)
                     banked.append(norm_edge(u1, c))
                     dead.append(c)
         # the 4-clique: the survivor and the three that leave, not a banked child
-        for a, b in combinations(sorted([survivor, *dead[:3]]), 2):
-            if (a, b) not in occupied:
-                occupied.add((a, b))
-                additions.append((a, b))
-        for d in dead:
-            alive[d] = False
-            child_count[parent[d]] -= 1
+        _add_clique(sorted([survivor, *dead[:3]]), occupied, additions)
+        _leave(parent, count, dead)
         live -= len(dead)
-        # whenever the root would leave, it is also the survivor
-        assert alive[survivor] and not any(map(child_count.__getitem__, dead)), (
-            "a vertex that left keeps a live child, or the survivor left"
-        )
-        if child_count[survivor] > 0:
-            heapq.heappush(buckets[depth[survivor]], (-child_count[survivor], survivor))
-    # what is left joins the banked forest; by the check above the root is
+        if count[survivor] > 0:
+            heapq.heappush(buckets[depth[survivor]], (-count[survivor], survivor))
+    # what is left joins the banked forest; by the rule in _leave the root is
     # live and so is each live vertex's parent
-    banked += [norm_edge(parent[v], v) for v in range(1, n) if alive[v]]
+    banked += [norm_edge(parent[v], v) for v in range(1, n) if count[v] >= 0]
     if banked:
         _check_banked_shape(banked)
         _clique_cover_loop(n, banked, 4, occupied, additions)

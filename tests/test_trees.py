@@ -323,6 +323,42 @@ def test_approx_tree_4_counted_heap_work_scales_per_doubling(monkeypatch):
             assert all(b <= 2.2 * a for a, b in zip(small, large)), work
 
 
+def _lying_depths(seed: int) -> RootedTree:
+    """A rooted random tree on 6-40 vertices with two non-root depths swapped."""
+    rng = random.Random(seed)
+    t = rooted(gen_random_tree(6 + seed % 35, seed))
+    a, b = rng.sample(range(1, t.base.n), 2)
+    depth = list(t.depth)
+    depth[a], depth[b] = depth[b], depth[a]
+    return RootedTree(t.base, t.parent, tuple(depth))
+
+
+def test_tree_solvers_refuse_or_stay_valid_when_the_depth_order_lies():
+    # Peeling from the deepest vertex up relies on the depth order.  When it
+    # lies, a vertex may leave the residual tree while it keeps a live child;
+    # the solvers must then raise AssertionError, never return a bad result.
+    raised = 0
+    for seed in range(400):
+        t = _lying_depths(seed)
+        g, n = t.base, t.base.n
+        checks = (
+            (p3_partition, lambda out: len(out) == math.ceil((n - 1) / 2)
+             and valid_p3_partition(t, out)),
+            (optimal_tree_31, lambda out: len(out) == math.ceil((n - 1) / 2)
+             and validate_completion(g, out, CoverSpec(3, 1)).ok),
+            (approx_tree_4, lambda out: len(out) <= 2 * (n - 1)
+             and validate_completion(g, out, CoverSpec(4, 1)).ok),
+        )
+        for solve, valid in checks:
+            try:
+                out = solve(t)
+            except AssertionError:
+                raised += 1
+                continue
+            assert valid(out), (seed, solve.__name__)
+    assert raised > 0
+
+
 def _best_of(times: int, fn) -> float:
     best = math.inf
     for _ in range(times):
