@@ -6,9 +6,12 @@ assertion inside a test is that criterion's FAIL.
 """
 
 import gc
+import heapq
 import math
 import random
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,7 @@ from kcover import (
     build_setcover_k,
     build_setcover_k3,
     build_spider,
+    check_chordal,
     completion_from_cover,
     completion_from_partition,
     enumerate_labeled_trees,
@@ -43,6 +47,8 @@ from kcover import (
     validate_completion,
     worst_case_spider,
 )
+
+from kcover import graph
 
 from helpers import common_neighbours, pad_with_decoys, random_cover, rooted
 
@@ -131,6 +137,33 @@ def test_criterion_2_chordal_optimality():
         "chordal optimality",
         f"200 instances exact; doubling x{timed[1] / timed[0]:.2f}, x{timed[2] / timed[1]:.2f}",
     )
+
+
+def test_check_chordal_counted_heap_work_scales_per_doubling(monkeypatch):
+    # A deterministic stand-in for criterion 2's wall-clock doubling: every
+    # heap push and pop of check_chordal's maximum cardinality search is
+    # counted.  It grows at most 2.2x per doubling of n here; on these inputs
+    # the pushes grow 2.00x.
+    counts = Counter()
+
+    def heappush(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
+
+    def heappop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(graph, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
+    work = []
+    for n in (10_000, 20_000, 40_000):
+        g = gen_random_chordal(n, 3, 11)
+        counts.clear()
+        assert check_chordal(g).is_chordal
+        work.append((counts["push"], counts["pop"]))
+    assert min(work[0]) > 0
+    for small, large in zip(work, work[1:]):
+        assert all(b <= 2.2 * a for a, b in zip(small, large)), work
 
 
 def test_criterion_3_k_approximation_ratio(tree_corpus):
