@@ -69,7 +69,8 @@ def _leave(parent: Sequence[int], count: list[int], gone: Sequence[int]) -> None
     for d in gone:
         count[parent[d]] -= 1
     for d in gone:
-        assert count[d] == 0 and parent[d] != d, "the root or a parent of a live vertex left"
+        if count[d] or parent[d] == d:
+            raise AssertionError("the root or a parent of a live vertex left")
         count[d] = -1
 
 
