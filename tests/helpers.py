@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from types import SimpleNamespace
 
 from kcover import (
     ChordalityResult,
@@ -128,6 +130,20 @@ def slow_validate(g: Graph, pairs, k: int, l: int) -> CoverCheck:
     return CoverCheck(
         ok=not violations and connected, violations=tuple(violations), connected=connected
     )
+
+
+def counting_heapq(counts: Counter) -> SimpleNamespace:
+    """A stand-in for a module's `heapq` that counts pushes and pops in `counts`."""
+
+    def heappush(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
+
+    def heappop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    return SimpleNamespace(heappush=heappush, heappop=heappop)
 
 
 def refuse_graph(n, edges):

@@ -6,12 +6,10 @@ assertion inside a test is that criterion's FAIL.
 """
 
 import gc
-import heapq
 import math
 import random
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -50,7 +48,7 @@ from kcover import (
 
 from kcover import graph
 
-from helpers import common_neighbours, pad_with_decoys, random_cover, rooted
+from helpers import common_neighbours, counting_heapq, pad_with_decoys, random_cover, rooted
 
 SPEC31 = CoverSpec(3, 1)
 FIG = SetCoverInstance(3, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})])
@@ -145,16 +143,7 @@ def test_check_chordal_counted_heap_work_scales_per_doubling(monkeypatch):
     # counted.  It grows at most 2.2x per doubling of n here; on these inputs
     # the pushes grow 2.00x.
     counts = Counter()
-
-    def heappush(heap, item):
-        counts["push"] += 1
-        heapq.heappush(heap, item)
-
-    def heappop(heap):
-        counts["pop"] += 1
-        return heapq.heappop(heap)
-
-    monkeypatch.setattr(graph, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
+    monkeypatch.setattr(graph, "heapq", counting_heapq(counts))
     work = []
     for n in (10_000, 20_000, 40_000):
         g = gen_random_chordal(n, 3, 11)

@@ -1,11 +1,9 @@
 import gc
 import hashlib
-import heapq
 import math
 import random
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +27,9 @@ from kcover import trees
 from kcover.io import format_completion
 from kcover.trees import _extract_step, _ForestPool
 
-from helpers import cover_trace, path_graph, rooted, star_graph, valid_p3_partition
+from helpers import (
+    counting_heapq, cover_trace, path_graph, rooted, star_graph, valid_p3_partition,
+)
 
 
 def test_rooted_tree_from_path():
@@ -301,16 +301,7 @@ def test_approx_tree_4_counted_heap_work_scales_per_doubling(monkeypatch):
     # heaps, and the forest pool's heaps in phase two).  O(n log n) work grows
     # at most 2.2x per doubling of n here; on these inputs it is 1.99-2.01x.
     counts = Counter()
-
-    def heappush(heap, item):
-        counts["push"] += 1
-        heapq.heappush(heap, item)
-
-    def heappop(heap):
-        counts["pop"] += 1
-        return heapq.heappop(heap)
-
-    monkeypatch.setattr(trees, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
+    monkeypatch.setattr(trees, "heapq", counting_heapq(counts))
     for family in (lambda n: gen_random_tree(n, 7), lambda n: worst_case_spider(n + 1)):
         work = []
         for n in (10_000, 20_000, 40_000):
