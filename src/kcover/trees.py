@@ -196,6 +196,11 @@ class _ForestPool:
     `budget` vertices.  Every component has at least two, so a budget of 2
     finds the smallest-id component overall.
 
+    The pool reads the forest's sorted neighbour rows and never changes them.
+    In a forest an edge, once deleted, leaves its endpoints in different
+    components for good, so an edge is live exactly while both endpoints
+    belong to the same component record.
+
     A carve deletes the edges inside the chosen subtree; every chosen vertex
     that keeps an edge roots one residual piece.  The pieces are explored in
     lockstep, one new vertex per piece per turn, until a single piece is left
@@ -209,11 +214,12 @@ class _ForestPool:
     explored vertices, the initial component search included.
     """
 
-    def __init__(self, n: int, edges: Iterable[Edge], k: int):
-        self.adj = neighbour_sets(edges)
-        # sorted neighbour lists; entries of nbrs[v] before scan[v] are gone edges
-        self.nbrs = {v: sorted(ws) for v, ws in self.adj.items()}
+    def __init__(self, adj: Sequence[Sequence[int]], k: int):
+        n = len(adj)
+        self.nbrs = adj
+        # entries of nbrs[v] before scan[v] are gone edges
         self.scan = [0] * n
+        self.degree = [len(row) for row in adj]  # live edges at each vertex
         self.owner = [-1] * n  # record id of each vertex's component, or -1
         self.k = k
         # record id -> [sorted vertex list, index of the min id in it, size]
@@ -223,8 +229,9 @@ class _ForestPool:
         # so an entry is live while its size matches the record's.  Size
         # buckets: exact sizes 2..k-1 plus one bucket for >= k
         self.by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
-        self.explored = len(self.adj)
-        for comp in components(self.adj, self.adj):
+        starts = [v for v in range(n) if adj[v]]
+        self.explored = len(starts)
+        for comp in components(adj, starts):
             self._register(comp)
 
     def _register(self, comp: list[int]) -> None:
@@ -258,21 +265,18 @@ class _ForestPool:
 
     def take_whole(self, cid: int) -> tuple[list[int], list[Edge]]:
         verts, lo, _ = self.comps.pop(cid)
-        owner = self.owner
+        nbrs, owner = self.nbrs, self.owner
         # the list may still hold vertices carved away since it was built;
         # scanning it once costs no more than building it did
         comp = [v for v in verts[lo:] if owner[v] == cid]
-        edges = []
+        edges = [(v, w) for v in comp for w in nbrs[v] if v < w and owner[w] == cid]
         for v in comp:
-            for w in self.adj.pop(v):
-                if v < w:
-                    edges.append((v, w))
             owner[v] = -1
-        return comp, sorted(edges)
+        return comp, edges
 
     def carve(self, cid: int, budget: int) -> tuple[list[int], list[Edge]]:
         """Extract a budget-vertex subtree (breadth-first from the min id)."""
-        adj, nbrs, scan, owner = self.adj, self.nbrs, self.scan, self.owner
+        nbrs, scan, degree, owner = self.nbrs, self.scan, self.degree, self.owner
         rec = self.comps[cid]
         verts, lo, size = rec
         chosen = [verts[lo]]
@@ -283,33 +287,31 @@ class _ForestPool:
             v = chosen[qi]
             par = via[qi]
             qi += 1
-            live = adj[v]
             row = nbrs[v]
             i = scan[v]
             while i < len(row) and len(chosen) < budget:
                 w = row[i]
                 i += 1
-                if w != par and w in live:
+                if w != par and owner[w] == cid:
                     chosen.append(w)
                     via.append(v)
                     edges.append((v, w) if v < w else (w, v))
             # every entry passed is now a removed or soon-removed edge
             scan[v] = i
         for u, v in edges:
-            adj[u].discard(v)
-            adj[v].discard(u)
+            degree[u] -= 1
+            degree[v] -= 1
         roots = []
         for v in chosen:
-            if adj[v]:
+            if degree[v]:
                 roots.append(v)
             else:
-                del adj[v]
                 owner[v] = -1
         if not roots:
             del self.comps[cid]
         else:
             size -= len(chosen) - len(roots)
-            for piece in self._split(roots):
+            for piece in self._split(cid, roots, set(chosen)):
                 size -= len(piece)
                 piece.sort()
                 self._register(piece)
@@ -320,14 +322,16 @@ class _ForestPool:
             self._push(cid)
         return sorted(chosen), sorted(edges)
 
-    def _split(self, roots: list[int]) -> list[list[int]]:
+    def _split(self, cid: int, roots: list[int], chosen: set[int]) -> list[list[int]]:
         """Explore the residual pieces at `roots` in lockstep until at most one
-        is unfinished; return the vertex lists of all pieces but one."""
+        is unfinished; return the vertex lists of all pieces but one.  Every
+        piece is still owned by `cid`, so the edges just carved, which join
+        chosen vertices, are skipped by name."""
         if len(roots) == 1:
             return []
-        adj = self.adj
+        nbrs, owner = self.nbrs, self.owner
         pieces = [[r] for r in roots]
-        stacks = [[(r, -1, iter(adj[r]))] for r in roots]
+        stacks = [[(r, -1, iter(nbrs[r]))] for r in roots]
         active = list(range(len(roots)))
         finished: list[int] = []
         while len(active) > 1:
@@ -337,13 +341,13 @@ class _ForestPool:
                 while stack:
                     v, par, it = stack[-1]
                     for w in it:
-                        if w != par:
+                        if w != par and owner[w] == cid and w not in chosen:
                             break
                     else:
                         stack.pop()
                         continue
                     pieces[p].append(w)
-                    stack.append((w, v, iter(adj[w])))
+                    stack.append((w, v, iter(nbrs[w])))
                     break
                 (unfinished if stack else finished).append(p)
             active = unfinished
@@ -389,8 +393,7 @@ def _pad_vertices(chosen: Iterable[int], n: int, want: int) -> list[int]:
 
 
 def _clique_cover_loop(
-    n: int,
-    forest_edges: Iterable[Edge],
+    adj: Sequence[Sequence[int]],
     k: int,
     occupied: set[Edge],
     additions: list[Edge],
@@ -400,12 +403,12 @@ def _clique_cover_loop(
     Returns the number of forest edges covered at each iteration and the
     number of vertices the forest pool explored.
     """
-    pool = _ForestPool(n, forest_edges, k)
+    pool = _ForestPool(adj, k)
     covered: list[int] = []
     while pool.smallest_id_comp_at_least(2) is not None:
         vertices, edges = _extract_step(pool, k)
         if len(vertices) < k:
-            vertices = sorted(vertices + _pad_vertices(vertices, n, k - len(vertices)))
+            vertices = sorted(vertices + _pad_vertices(vertices, len(adj), k - len(vertices)))
         _add_clique(vertices, occupied, additions)
         covered.append(len(edges))
     return covered, pool.explored
@@ -420,7 +423,7 @@ def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
     if g.n < k:
         raise InputError(f"tree has {g.n} vertices, needs at least k={k}")
     additions: list[Edge] = []
-    _clique_cover_loop(g.n, g.edges, k, set(g.edges), additions)
+    _clique_cover_loop(g.adj, k, set(g.edges), additions)
     return CompletionSet(additions)
 
 
@@ -497,15 +500,17 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     # live and so is each live vertex's parent
     banked += [norm_edge(parent[v], v) for v in range(1, n) if count[v] >= 0]
     if banked:
-        _check_banked_shape(banked)
-        _clique_cover_loop(n, banked, 4, occupied, additions)
+        rows: list[Sequence[int]] = [()] * n
+        for v, ws in neighbour_sets(banked).items():
+            rows[v] = sorted(ws)
+        _check_banked_shape(rows, banked)
+        _clique_cover_loop(rows, 4, occupied, additions)
     return CompletionSet(additions)
 
 
-def _check_banked_shape(banked: list[Edge]) -> None:
+def _check_banked_shape(rows: Sequence[Sequence[int]], banked: list[Edge]) -> None:
     """The banked forest must consist of single edges plus at most one 2-edge path."""
-    adj = neighbour_sets(banked)
-    sizes = sorted(len(c) for c in components(adj, adj))
+    sizes = sorted(len(c) for c in components(rows, (u for u, _ in banked)))
     if sizes and sizes[-1] > 3:
         raise AssertionError("banked component larger than a 2-edge path")
     if sizes.count(3) > 1:

@@ -19,7 +19,7 @@ SIZES = (20_000, 40_000)
 PEAK_BYTES_PER_VERTEX = {
     "optimal_tree_31": ((239, 310), (245, 320)),
     "approx_tree_4": ((593, 770), (421, 550)),
-    "approx_tree_k(5)": ((664, 860), (567, 740)),
+    "approx_tree_k(5)": ((417, 540), (316, 410)),
     "optimal_chordal_31": ((155, 200), (148, 190)),
     "validate_pairs(3)": ((465, 600), (418, 540)),
 }

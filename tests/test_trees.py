@@ -143,7 +143,7 @@ def _random_forest(seed: int) -> Graph:
 
 def _first_cut(f: Graph, k: int) -> tuple[list[int], list[tuple[int, int]]]:
     """The vertices and edges of the first piece approx_tree_k's loop takes from f."""
-    return _extract_step(_ForestPool(f.n, f.edges, k), k)
+    return _extract_step(_ForestPool(f.adj, k), k)
 
 
 def test_extract_subforest_examples():
