@@ -155,6 +155,32 @@ def test_check_chordal_counted_heap_work_scales_per_doubling(monkeypatch):
         assert all(b <= 2.2 * a for a, b in zip(small, large)), work
 
 
+def test_find_bridges_counted_scans_scale_per_doubling():
+    # A deterministic stand-in for a doubling-time test of the bridge search:
+    # every neighbour entry its iterators yield is counted, through rows of a
+    # tuple subclass.  It grows at most 2.2x per doubling of n here; on these
+    # inputs it is 2m, which grows 2.00x.
+    scanned = Counter()
+
+    class CountedRow(tuple):
+        def __iter__(self):
+            for w in tuple.__iter__(self):
+                scanned["entry"] += 1
+                yield w
+
+    work = []
+    for n in (10_000, 20_000, 40_000):
+        g = gen_random_chordal(n, 3, 11)
+        plain = graph.find_bridges(g)
+        g.adj = tuple(map(CountedRow, g.adj))
+        scanned.clear()
+        assert graph.find_bridges(g) == plain
+        assert scanned["entry"] >= 2 * g.m  # every edge is scanned from both ends
+        work.append(scanned["entry"])
+    for small, large in zip(work, work[1:]):
+        assert large <= 2.2 * small, work
+
+
 def test_criterion_3_k_approximation_ratio(tree_corpus):
     checked = 0
     for k in (5, 6, 7):
