@@ -102,11 +102,16 @@ def _solver_k(alg: str, k: int | None, l: int) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = io.read_graph(args.infile, connected=True)
     started = time.perf_counter()
+    # the oracle's budget flags that were given; only brute takes them
+    limits = {f: v for f in ("max_additions", "max_nodes") if (v := getattr(args, f)) is not None}
     if args.alg != "brute":
+        if limits:
+            flag = "--" + next(iter(limits)).replace("_", "-")
+            raise InputError(f"{args.alg} runs no search, got {flag}")
         completion = SOLVERS[args.alg][1](g, _solver_k(args.alg, args.k, args.l))
     else:
         spec = CoverSpec(args.k if args.k is not None else 3, args.l)
-        budget = OracleBudget(max_additions=args.max_additions, max_nodes=args.max_nodes)
+        budget = OracleBudget(**limits)
         result = brute_min_completion(g, spec, budget)
         if not result.ok:
             print(
@@ -221,8 +226,9 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--k", type=int, default=None)
     p_solve.add_argument("--l", type=int, default=1)
-    p_solve.add_argument("--max-additions", type=int, default=OracleBudget.max_additions)
-    p_solve.add_argument("--max-nodes", type=int, default=OracleBudget.max_nodes)
+    # brute's search budget; a flag left unset takes OracleBudget's default
+    p_solve.add_argument("--max-additions", type=int, default=None)
+    p_solve.add_argument("--max-nodes", type=int, default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_check = sub.add_parser("check", help="validate a completion set")

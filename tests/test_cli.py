@@ -273,6 +273,12 @@ def test_solve_usage_errors(tmp_path, capsys, quiet_env):
         ("tree-approx", ["--k", "5", "--l", "2"], 1),
         ("tree-opt", ["--k", "3", "--l", "1"], 0),
         ("tree-approx4", ["--k", "4"], 0),
+        # only brute runs a search, so only brute takes a search budget
+        ("tree-opt", ["--max-nodes", "0"], 1),
+        ("chordal-opt", ["--max-additions", "5"], 1),
+        ("tree-approx4", ["--max-nodes", "100"], 1),
+        ("tree-approx", ["--k", "5", "--max-additions", "20"], 1),
+        ("brute", ["--max-nodes", "100"], 0),
     ],
 )
 def test_solve_refuses_a_spec_the_solver_ignores(tmp_path, capsys, quiet_env, alg, flags, code):
