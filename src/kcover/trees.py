@@ -500,18 +500,19 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     # live and so is each live vertex's parent
     banked += [norm_edge(parent[v], v) for v in range(1, n) if count[v] >= 0]
     if banked:
-        rows: list[Sequence[int]] = [()] * n
-        for v, ws in neighbour_sets(banked).items():
-            rows[v] = sorted(ws)
-        _check_banked_shape(rows, banked)
-        _clique_cover_loop(rows, 4, occupied, additions)
+        _clique_cover_loop(_banked_rows(n, banked), 4, occupied, additions)
     return CompletionSet(additions)
 
 
-def _check_banked_shape(rows: Sequence[Sequence[int]], banked: list[Edge]) -> None:
-    """The banked forest must consist of single edges plus at most one 2-edge path."""
+def _banked_rows(n: int, banked: list[Edge]) -> list[Sequence[int]]:
+    """Sorted neighbour rows of the banked forest on n vertices, which must
+    consist of single edges plus at most one 2-edge path."""
+    rows: list[Sequence[int]] = [()] * n
+    for v, ws in neighbour_sets(banked).items():
+        rows[v] = sorted(ws)
     sizes = sorted(len(c) for c in components(rows, (u for u, _ in banked)))
     if sizes and sizes[-1] > 3:
         raise AssertionError("banked component larger than a 2-edge path")
     if sizes.count(3) > 1:
         raise AssertionError("more than one 2-edge path banked")
+    return rows
