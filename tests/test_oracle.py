@@ -260,3 +260,16 @@ def test_oracle_golden_hash():
         verdicts += 1
     assert verdicts == 129
     assert h.hexdigest() == GOLDEN_ORACLE_SHA256
+
+
+def test_oracle_node_counts_are_pinned():
+    # counted work: any change to the search's pruning or branch order moves
+    # these totals, even when every verdict stays the same
+    corpus = sum(
+        brute_min_completion(g, spec, OracleBudget(max_additions=16)).nodes
+        for g, spec in _exact_small_corpus()
+    )
+    tree = brute_min_completion(
+        gen_random_tree(9, 9002), CoverSpec(4, 2), OracleBudget(max_additions=16)
+    ).nodes
+    assert (corpus, tree) == (44_642, 172_018)
