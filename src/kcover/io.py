@@ -264,6 +264,9 @@ def parse_role_map(text: str) -> tuple[int, tuple[Role, ...]]:
     if not isinstance(raw, dict):
         raise InputError("'roles' must be an object")
     roles: list[Role | None] = [None] * len(raw)
+    # one Role per distinct (kind, index); a kind that is not a str may be
+    # unhashable, so it goes straight to Role, which refuses it
+    shared: dict[tuple[str, int | None], Role] = {}
     for key, entry in raw.items():
         try:
             v = int(key)
@@ -278,19 +281,36 @@ def parse_role_map(text: str) -> tuple[int, tuple[Role, ...]]:
         index = entry.get("index")
         if index is not None and not _is_int(index):
             raise InputError(f"vertex {v}: 'index' must be an integer or null, got {index!r}")
-        roles[v] = Role(kind=entry["kind"], index=index)
+        kind = entry["kind"]
+        if not isinstance(kind, str):
+            roles[v] = Role(kind=kind, index=index)
+            continue
+        role = shared.get((kind, index))
+        if role is None:
+            role = shared[kind, index] = Role(kind=kind, index=index)
+        roles[v] = role
     return k, tuple(roles)
 
 
 def format_role_map(rg: LabeledReductionGraph) -> str:
-    data = {
-        "k": rg.k,
-        "roles": {
-            str(v): {"kind": role.kind, "index": role.index}
-            for v, role in enumerate(rg.roles)
-        },
-    }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """The text of json.dumps(data, sort_keys=True, indent=2) + "\n" for the
+    role map, built from one fragment per distinct role, without the slow
+    pure-Python encoder that indent selects."""
+    head = f'{{\n  "k": {json.dumps(rg.k)},\n  "roles": '
+    if not rg.roles:
+        return head + "{}\n}\n"
+    fragments: dict[Role, str] = {}
+    texts = []
+    for role in rg.roles:
+        text = fragments.get(role)
+        if text is None:
+            text = fragments[role] = (
+                f'{{\n      "index": {json.dumps(role.index)},'
+                f'\n      "kind": {json.dumps(role.kind)}\n    }}'
+            )
+        texts.append(text)
+    body = ",\n".join(f'    "{v}": {texts[v]}' for v in sorted(range(len(texts)), key=str))
+    return f"{head}{{\n{body}\n  }}\n}}\n"
 
 
 def read_text(path: str | Path) -> str:

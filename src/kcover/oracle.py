@@ -9,7 +9,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 from .errors import InputError
 from .graph import CompletionSet, CoverSpec, Edge, Graph, validate_completion
@@ -84,7 +84,7 @@ class _Search:
             self.c_min += 1
         self.nodes = 0
 
-    def lower_bound(self, adj: list[int]) -> int:
+    def lower_bound(self, adj: list[int], remaining: int | None = None) -> int:
         """Additions still needed, by degree and by common-neighbour deficits.
 
         Each vertex must reach degree c_min + 1, and each edge c_min common
@@ -92,18 +92,32 @@ class _Search:
         count of at most two edges of a matching by one each, so either
         summed deficit halved (over a greedy matching of deficient edges, for
         the common neighbours) is admissible.
+
+        Given `remaining`, only the comparison with it is exact: the degree
+        deficit is summed first, and the matching runs only when that does
+        not already exceed 2 * remaining, stopping once its own sum does.
         """
+        need = self.c_min + 1
+        degree = 0
+        for count in map(int.bit_count, adj):
+            if count < need:
+                degree += need - count
+        limit = inf if remaining is None else 2 * remaining
+        if degree > limit:
+            return (degree + 1) // 2
+        return (max(degree, self._common_deficit(adj, limit)) + 1) // 2
+
+    def _common_deficit(self, adj: list[int], limit: float) -> int:
+        # summed common-neighbour deficits over a greedy matching of deficient
+        # edges; the sum only grows, so it stops once it exceeds limit
         need = self.c_min
-        degree = common = 0
+        common = 0
         free = (1 << self.n) - 1
         for u in range(self.n):
-            nu = adj[u]
-            gap = need + 1 - nu.bit_count()
-            if gap > 0:
-                degree += gap
             if not free >> u & 1:
                 continue
             # match u to the free neighbour above it with the largest deficit
+            nu = adj[u]
             best = mate = 0
             rest = nu & free & -(2 << u)
             while rest:
@@ -114,8 +128,10 @@ class _Search:
                 rest ^= low
             if best:
                 common += best
+                if common > limit:
+                    return common
                 free ^= mate | 1 << u
-        return (max(degree, common) + 1) // 2
+        return common
 
     def _cliques_in(self, adj: list[int], mask: int, need: int, cap: int) -> int:
         # number of `need`-cliques inside `mask`, counted in ascending vertex
@@ -154,7 +170,7 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise InconclusiveError("node budget exhausted")
-        if self.lower_bound(adj) > remaining:
+        if self.lower_bound(adj, remaining) > remaining:
             return None
         target = self._first_unsaturated(adj)
         if target is None:

@@ -501,6 +501,8 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     banked += [norm_edge(parent[v], v) for v in range(1, n) if count[v] >= 0]
     if banked:
         _clique_cover_loop(_banked_rows(n, banked), 4, occupied, additions)
+    # every addition is in occupied too; free it before CompletionSet copies them
+    del occupied
     return CompletionSet(additions)
 
 

@@ -1,8 +1,14 @@
+import json
+import random
+
 import pytest
 
 from kcover import (
     CompletionSet,
+    Graph,
     InputError,
+    LabeledReductionGraph,
+    Role,
     SetCoverInstance,
     ThreePartitionInstance,
     build_setcover_k,
@@ -10,6 +16,7 @@ from kcover import (
     gen_random_chordal,
 )
 from kcover import io
+from kcover.reductions import ROLE_KINDS
 from kcover.io import (
     MAX_VERTICES,
     format_completion,
@@ -161,6 +168,35 @@ def test_role_map_errors():
         parse_role_map('{"k": 3, "roles": {"0": {"kind": "wizard"}}}')
     with pytest.raises(InputError):
         parse_role_map('{"k": 3, "roles": {"0": "common"}}')
+
+
+def test_format_role_map_matches_indented_json_dumps():
+    # one role per vertex over every kind, with null and integer indices; at
+    # 10 and 100 vertices string order of the keys parts from numeric order
+    rng = random.Random(20)
+    for n in (0, 1, 9, 10, 11, 99, 100, 101):
+        kinds = [ROLE_KINDS[v % len(ROLE_KINDS)] for v in range(n)]
+        roles = tuple(
+            Role(kind, None if kind in ("aux", "common") and rng.random() < 0.5 else rng.randrange(40))
+            for kind in kinds
+        )
+        rg = LabeledReductionGraph(Graph(n, []), roles, 3 + n % 4, (), (), 0)
+        data = {
+            "k": rg.k,
+            "roles": {str(v): {"kind": r.kind, "index": r.index} for v, r in enumerate(roles)},
+        }
+        text = format_role_map(rg)
+        assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        k, parsed = parse_role_map(text)
+        assert (k, parsed) == (rg.k, roles)
+        # equal roles are shared, one object each
+        assert len({id(r) for r in parsed}) == len(set(parsed))
+
+
+def test_parse_role_map_refuses_a_kind_that_is_not_a_string():
+    for kind in ("[1]", '{"a": 1}', "1", "null", "true"):
+        with pytest.raises(InputError):
+            parse_role_map(f'{{"k": 3, "roles": {{"0": {{"kind": {kind}}}}}}}')
 
 
 def test_file_helpers_round_trip(tmp_path):

@@ -165,7 +165,9 @@ def test_oracle_with_an_inflated_bound_disagrees_with_naive(monkeypatch):
     # negative control: a bound one too high prunes optimal completions away,
     # and the naive comparison must notice
     exact = oracle._Search.lower_bound
-    monkeypatch.setattr(oracle._Search, "lower_bound", lambda self, adj: exact(self, adj) + 1)
+    monkeypatch.setattr(
+        oracle._Search, "lower_bound", lambda self, adj, *rest: exact(self, adj, *rest) + 1
+    )
     assert _disagreements_with_naive() > 0
 
 
@@ -273,3 +275,23 @@ def test_oracle_node_counts_are_pinned():
         gen_random_tree(9, 9002), CoverSpec(4, 2), OracleBudget(max_additions=16)
     ).nodes
     assert (corpus, tree) == (44_642, 172_018)
+
+
+def test_oracle_runs_the_matching_only_where_the_degree_deficit_does_not_cut(monkeypatch):
+    # counted work: the degree deficit alone cuts most states, so the
+    # common-neighbour matching runs on at most 35% of the visited nodes
+    calls = 0
+    matching = oracle._Search._common_deficit
+
+    def counting(self, adj, limit):
+        nonlocal calls
+        calls += 1
+        return matching(self, adj, limit)
+
+    monkeypatch.setattr(oracle._Search, "_common_deficit", counting)
+    budget = OracleBudget(max_additions=16)
+    corpus = sum(brute_min_completion(g, spec, budget).nodes for g, spec in _exact_small_corpus())
+    assert calls <= 0.35 * corpus
+    calls = 0
+    tree = brute_min_completion(gen_random_tree(9, 9002), CoverSpec(4, 2), budget).nodes
+    assert calls <= 0.35 * tree
