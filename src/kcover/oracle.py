@@ -103,9 +103,8 @@ class _Search:
             if count < need:
                 degree += need - count
         limit = inf if remaining is None else 2 * remaining
-        if degree > limit:
-            return (degree + 1) // 2
-        return (max(degree, self._common_deficit(adj, limit)) + 1) // 2
+        common = self._common_deficit(adj, limit) if degree <= limit else 0
+        return (max(degree, common) + 1) // 2
 
     def _common_deficit(self, adj: list[int], limit: float) -> int:
         # summed common-neighbour deficits over a greedy matching of deficient
