@@ -112,6 +112,7 @@ def test_completion_set_keeps_order_and_rejects_duplicates():
 
 def test_cover_spec_bounds():
     assert CoverSpec(3, 1).k == 3
+    assert CoverSpec(4).l == 1  # l defaults to one clique per edge
     with pytest.raises(InputError):
         CoverSpec(2, 1)
     with pytest.raises(InputError):

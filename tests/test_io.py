@@ -168,8 +168,10 @@ def test_role_map_errors():
         parse_role_map('{"k": 3, "roles": {"0": {"kind": "wizard"}}}')
     with pytest.raises(InputError):
         parse_role_map('{"k": 3, "roles": {"0": "common"}}')
-    with pytest.raises(InputError):
-        parse_role_map('{"k": 3, "roles": {"0": {"kind": [1]}}}')  # unhashable
+    # a kind that is not a string: unhashable ones must not end in a TypeError
+    for kind in ('[1]', '{"a": 1}', '1', 'null', 'true'):
+        with pytest.raises(InputError, match="^unknown role kind "):
+            parse_role_map('{"k": 3, "roles": {"0": {"kind": %s}}}' % kind)
 
 
 def test_format_role_map_matches_indented_json_dumps():

@@ -171,13 +171,29 @@ def test_oracle_with_an_inflated_bound_disagrees_with_naive(monkeypatch):
     assert _disagreements_with_naive() > 0
 
 
-def test_oracle_node_count_on_a_nine_vertex_tree():
-    # counted work: the unpruned search visits 605,335 nodes here
-    res = brute_min_completion(
+@pytest.fixture(scope="module")
+def nine_vertex_tree():
+    # one unpatched search, shared by the tests that read its result
+    return brute_min_completion(
         gen_random_tree(9, 9002), CoverSpec(4, 2), OracleBudget(max_additions=16)
     )
+
+
+def test_oracle_node_count_on_a_nine_vertex_tree(nine_vertex_tree):
+    # counted work: the unpruned search visits 605,335 nodes here
+    res = nine_vertex_tree
     assert res.ok and len(res.completion) == 15
     assert res.nodes <= 300_000
+
+
+def test_oracle_node_budget_is_inclusive():
+    # the search visits exactly 31 nodes here, so a budget of 31 is enough
+    # and one of 30 stops it before size 6 is refuted
+    g, spec = gen_random_tree(7, 7000), CoverSpec(4, 1)
+    res = brute_min_completion(g, spec, OracleBudget(max_nodes=31))
+    assert (res.status, len(res.completion), res.nodes) == ("optimal", 6, 31)
+    res = brute_min_completion(g, spec, OracleBudget(max_nodes=30))
+    assert (res.status, res.lower_bound) == ("inconclusive", 6)
 
 
 def test_oracle_clique_threshold_search_stops_at_n(monkeypatch):
@@ -252,11 +268,17 @@ def _exact_small_corpus():
                     yield g, CoverSpec(k, l)
 
 
-def test_oracle_golden_hash():
+@pytest.fixture(scope="module")
+def corpus_results():
+    # one unpatched run over the corpus, shared by the tests that read it
+    budget = OracleBudget(max_additions=16)
+    return [brute_min_completion(g, spec, budget) for g, spec in _exact_small_corpus()]
+
+
+def test_oracle_golden_hash(corpus_results):
     h = hashlib.sha256()
     verdicts = 0
-    for g, spec in _exact_small_corpus():
-        res = brute_min_completion(g, spec, OracleBudget(max_additions=16))
+    for res in corpus_results:
         completion = sorted(res.completion) if res.completion is not None else None
         h.update(f"{res.status} {completion} {res.lower_bound}\n".encode())
         verdicts += 1
@@ -264,17 +286,11 @@ def test_oracle_golden_hash():
     assert h.hexdigest() == GOLDEN_ORACLE_SHA256
 
 
-def test_oracle_node_counts_are_pinned():
+def test_oracle_node_counts_are_pinned(corpus_results, nine_vertex_tree):
     # counted work: any change to the search's pruning or branch order moves
     # these totals, even when every verdict stays the same
-    corpus = sum(
-        brute_min_completion(g, spec, OracleBudget(max_additions=16)).nodes
-        for g, spec in _exact_small_corpus()
-    )
-    tree = brute_min_completion(
-        gen_random_tree(9, 9002), CoverSpec(4, 2), OracleBudget(max_additions=16)
-    ).nodes
-    assert (corpus, tree) == (44_642, 172_018)
+    corpus = sum(res.nodes for res in corpus_results)
+    assert (corpus, nine_vertex_tree.nodes) == (44_642, 172_018)
 
 
 def test_oracle_runs_the_matching_only_where_the_degree_deficit_does_not_cut(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,21 @@ def test_validate_completion_matches_slow_checker_property(n, k, l, data):
     g = Graph(n, [p for p, r in zip(pairs, role) if r == 1])
     c = CompletionSet(p for p, r in zip(pairs, role) if r == 2)
     assert validate_completion(g, c, CoverSpec(k, l)) == slow_validate(g, c, k, l)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(4, 12), k=st.integers(4, 7), density=st.integers(50, 95),
+       seed=st.integers(0, 2**32 - 1))
+def test_validate_at_l1_matches_slow_checker_on_dense_graphs_property(n, k, density, seed):
+    # most pairs are present, so most edges lie in k-cliques, several of
+    # which share edges; each pair is absent, an edge of g or an addition
+    rng = random.Random(seed)
+    present = [p for p in combinations(range(n), 2) if rng.randrange(100) < density]
+    added = [rng.random() < 0.3 for _ in present]
+    g = Graph(n, [p for p, a in zip(present, added) if not a])
+    c = CompletionSet(p for p, a in zip(present, added) if a)
+    assert validate_completion(g, c, CoverSpec(k, 1)) == slow_validate(g, c, k, 1)
+    assert validate_pairs(n, sorted(g.edges), c, CoverSpec(k, 1)) == slow_validate(g, c, k, 1)
 
 
 def _outcome(check):
