@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain, combinations, starmap
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -234,18 +234,77 @@ def _count_cliques(
     return count
 
 
+def _find_clique(
+    nbr: Sequence[set[int]] | Mapping[int, set[int]], cands: set[int], need: int
+) -> tuple[int, ...] | None:
+    """need pairwise adjacent vertices of cands, or None when there are none.
+
+    nbr[w] is the neighbour set of each candidate w.  As in _count_cliques, a
+    candidate is dropped once the cliques it heads have been searched.
+    """
+    if need == 1:
+        for x in cands:
+            return (x,)
+        return None
+    if need == 2:
+        for x in cands:
+            if not cands.isdisjoint(nbr[x]):
+                return x, next(iter(cands & nbr[x]))
+        return None
+    rest = set(cands)
+    for x in cands:
+        if len(rest) < need:
+            break
+        rest.discard(x)
+        ext = rest & nbr[x]
+        if len(ext) >= need - 1:
+            found = _find_clique(nbr, ext, need - 1)
+            if found is not None:
+                return (x, *found)
+    return None
+
+
 def _unsaturated(
-    nbr: Sequence[set[int]] | Mapping[int, set[int]], edges: Iterable[Edge], spec: CoverSpec
+    nbr: Sequence[set[int]] | Mapping[int, set[int]],
+    edges: Iterable[Edge],
+    spec: CoverSpec,
+    n: int,
 ) -> list[Edge]:
     """The edges lying in fewer than spec.l cliques of order spec.k, sorted.
 
-    nbr[v] is v's neighbour set in the graph that holds the edges.
+    nbr[v] is v's neighbour set in the graph on 0..n-1 that holds the edges.
+    At l = 1 and k >= 5, a clique found for one edge covers all its pairs:
+    they are marked, as the integers u * n + v, and skipped when reached.
     """
     need, cap = spec.k - 2, spec.l
     if need == cap == 1:  # no common neighbour, without building the intersection
         out = [(u, v) for u, v in edges if nbr[u].isdisjoint(nbr[v])]
     elif need == 1:
         out = [(u, v) for u, v in edges if len(nbr[u] & nbr[v]) < cap]
+    elif need == 2 and cap == 1:  # no edge among the common neighbours
+        out = []
+        for u, v in edges:
+            common = nbr[u] & nbr[v]
+            for x in common:
+                if not common.isdisjoint(nbr[x]):
+                    break
+            else:
+                out.append((u, v))
+    elif cap == 1:
+        out = []
+        marks: set[int] = set()
+        for u, v in edges:
+            key = u * n + v
+            if key in marks:
+                marks.remove(key)
+                continue
+            common = nbr[u] & nbr[v]
+            found = _find_clique(nbr, common, need) if len(common) >= need else None
+            if found is None:
+                out.append((u, v))
+                continue
+            marks.update(a * n + b for a, b in combinations(sorted((u, v, *found)), 2))
+            marks.remove(key)
     else:
         out = []
         for u, v in edges:
@@ -258,7 +317,7 @@ def _unsaturated(
 
 def unsaturated_edges(g: Graph, spec: CoverSpec) -> list[Edge]:
     """Edges lying in fewer than spec.l cliques of order spec.k, in lexicographic order."""
-    return _unsaturated([set(a) for a in g.adj], g.edges, spec)
+    return _unsaturated([set(a) for a in g.adj], g.edges, spec, g.n)
 
 
 def apply_completion(g: Graph, c: CompletionSet) -> Graph:
@@ -282,24 +341,58 @@ def validate_pairs(
     and is connected, raising the InputErrors of Graph(n, pairs) and of
     apply_completion.
 
-    No Graph is built: the pairs and c's additions go into neighbour sets, held
-    only for the vertices they touch, so memory follows the input and not n.
-    Every edge is then scanned once against those sets.  With n > 1, a vertex
-    that nothing touches leaves the graph disconnected; otherwise one search
-    from vertex 0 counts the vertices it reaches.
+    No Graph is built: the pairs, ordered, and c's additions go into neighbour
+    sets, held only for the vertices they touch, so memory follows the input
+    and not n.  A repeat, or an addition that is already an edge, leaves the
+    sets' sizes short of twice the pair count; only a fault found in bulk
+    makes the in-order rescan run, which raises the first one.  Every edge is
+    then scanned once against those sets (see _cover_check).
     """
-    edges, edge_set = _checked_edges(pairs, n)
-    for e in c:
-        _check_addition(e, n, e in edge_set)
+    if n < 0:
+        raise InputError("vertex count must be non-negative")
+    edges = [p if p[0] < p[1] else (p[1], p[0]) for p in pairs]
     nbr = neighbour_sets(chain(edges, c))
-    violations = tuple(_unsaturated(nbr, chain(edges, c), spec))
-    connected = _is_connected(nbr, n) if len(nbr) == n else n <= 1
-    return CoverCheck(ok=not violations and connected, violations=violations, connected=connected)
+    if (
+        sum(map(len, nbr.values())) < 2 * (len(edges) + len(c))
+        or any(starmap(eq, edges))
+        or min(map(itemgetter(0), chain(edges, c)), default=0) < 0
+        or max(map(itemgetter(1), chain(edges, c)), default=-1) >= n
+    ):
+        edge_set = _checked_edges(edges, n)[1]
+        for e in c:
+            _check_addition(e, n, e in edge_set)
+    return _cover_check(n, nbr, chain(edges, c), spec)
 
 
 def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverCheck:
-    """Check that g plus c has a (k,l)-cover and is connected (see validate_pairs)."""
-    return validate_pairs(g.n, g.edges, c, spec)
+    """Check that g plus c has a (k,l)-cover and is connected (see validate_pairs).
+
+    g's edges were checked when g was built, so only c's additions are.
+    """
+    nbr = [set(a) for a in g.adj]
+    for e in c:
+        _check_addition(e, g.n, e in g.edges)
+        u, v = e
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return _cover_check(g.n, nbr, chain(g.edges, c), spec)
+
+
+def _cover_check(
+    n: int,
+    nbr: Sequence[set[int]] | Mapping[int, set[int]],
+    edges: Iterable[Edge],
+    spec: CoverSpec,
+) -> CoverCheck:
+    """The verdict on the graph on 0..n-1 whose neighbour sets are nbr.
+
+    Every edge is scanned once against the sets.  With n > 1, a vertex that
+    nbr does not hold leaves the graph disconnected; otherwise one search from
+    vertex 0 counts the vertices it reaches.
+    """
+    violations = tuple(_unsaturated(nbr, edges, spec, n))
+    connected = _is_connected(nbr, n) if len(nbr) == n else n <= 1
+    return CoverCheck(ok=not violations and connected, violations=violations, connected=connected)
 
 
 def find_bridges(g: Graph) -> list[Edge]:

@@ -21,7 +21,7 @@ from .graph import (
     Edge,
     Graph,
     _check_addition,
-    _count_cliques,
+    _find_clique,
     neighbour_sets,
     norm_edge,
     validate_completion,
@@ -319,7 +319,7 @@ class _AnchorPurchase:
         nbr = self.nbr
         if v not in nbr[u]:
             raise InputError(f"({u},{v}) is not an edge")
-        return _count_cliques(nbr, nbr[u] & nbr[v], self.rg.k - 2, 1) >= 1
+        return _find_clique(nbr, nbr[u] & nbr[v], self.rg.k - 2) is not None
 
     def buy_cover_of(self, i: int) -> None:
         """Buy the lowest-numbered set holding item i."""

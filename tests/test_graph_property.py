@@ -1,6 +1,7 @@
 """check_chordal against the two-pass heap search it replaced, find_bridges
-against remove-and-count, and the clique counter against a count over
-itertools.combinations, on arbitrary small graphs."""
+against remove-and-count, the clique counter against a count over
+itertools.combinations and the clique finder against the counter, on
+arbitrary small graphs."""
 
 from itertools import combinations
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcover import Graph, check_chordal, find_bridges
-from kcover.graph import _count_cliques
+from kcover.graph import _count_cliques, _find_clique
 
 from helpers import brute_bridges, heap_check_chordal
 
@@ -44,3 +45,27 @@ def test_count_cliques_matches_combinations_property(n, need, cap, data):
         for sub in combinations(sorted(cands), need)
     )
     assert _count_cliques(nbr, cands, need, cap) == min(count, cap)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 10), need=st.integers(1, 5), quarters=st.integers(1, 4), data=st.data()
+)
+def test_find_clique_agrees_with_the_counter_property(n, need, quarters, data):
+    # each pair is an edge with probability quarters / 4, so that cliques of
+    # five candidates occur as well as none
+    pairs = list(combinations(range(n), 2))
+    present = data.draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    nbr = [set() for _ in range(n)]
+    for (u, v), draw in zip(pairs, present):
+        if draw < quarters:
+            nbr[u].add(v)
+            nbr[v].add(u)
+    cands = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    found = _find_clique(nbr, cands, need)
+    if _count_cliques(nbr, cands, need, 1) == 0:
+        assert found is None
+    else:
+        assert found is not None and len(found) == len(set(found)) == need
+        assert set(found) <= cands
+        assert all(b in nbr[a] for a, b in combinations(found, 2))

@@ -22,6 +22,8 @@ from kcover import (
     validate_completion,
 )
 
+from kcover import graph
+
 from helpers import nonedges, rooted, slow_validate
 
 ORDERS = (3, 4, 5, 6)
@@ -95,3 +97,31 @@ def test_validate_completion_rejects_bad_additions():
         validate_completion(g, CompletionSet([(0, 2), (2, 4)]), CoverSpec(3, 1))
     with pytest.raises(InputError, match=r"^addition \(1, 2\) is already an edge$"):
         validate_completion(g, CompletionSet([(0, 3), (2, 1)]), CoverSpec(3, 1))
+
+
+def test_l1_check_searches_a_clique_once_for_all_its_edges(monkeypatch):
+    # counted work: at l = 1 a clique found for one edge covers all its pairs,
+    # so the top-level searches stay a fifth of the edges or fewer (6.7-10.5%
+    # when this gate was set); one search per edge would be near 100%
+    find = graph._find_clique
+    searches = depth = 0
+
+    def counting(nbr, cands, need):
+        nonlocal searches, depth
+        searches += depth == 0
+        depth += 1
+        try:
+            return find(nbr, cands, need)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(graph, "_find_clique", counting)
+    inst = gen_random_setcover(20, 20, 0.3, 1)
+    tree = gen_random_tree(2000, 7)
+    cases = [(build_setcover_k(inst, k), k) for k in (5, 6)]
+    cases = [(rg.graph, CompletionSet(sorted(rg.anchor_edges())), k) for rg, k in cases]
+    cases += [(tree, approx_tree_k(rooted(tree), k), k) for k in (5, 6)]
+    for g, c, k in cases:
+        searches = 0
+        assert validate_completion(g, c, CoverSpec(k, 1)).ok
+        assert searches <= 0.2 * (g.m + len(c)), (k, g.n, searches)
