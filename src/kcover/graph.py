@@ -272,9 +272,12 @@ def _unsaturated(
 ) -> list[Edge]:
     """The edges lying in fewer than spec.l cliques of order spec.k, sorted.
 
-    nbr[v] is v's neighbour set in the graph on 0..n-1 that holds the edges.
-    At l = 1 and k >= 5, a clique found for one edge covers all its pairs:
-    they are marked, as the integers u * n + v, and skipped when reached.
+    nbr[v] is v's neighbour set in the graph on 0..n-1 whose edges are edges.
+    At l = 1 and k >= 5, a clique found for one edge covers all its pairs, so
+    the edges are scanned from nbr by lower end, in ascending order, and the
+    pairs of each clique found that the scan has yet to reach are marked and
+    skipped when reached: as the integers u * n + v, or, at the current lower
+    end, as its neighbour.  A mark is dropped when its edge is reached.
     """
     need, cap = spec.k - 2, spec.l
     if need == cap == 1:  # no common neighbour, without building the intersection
@@ -292,19 +295,28 @@ def _unsaturated(
                 out.append((u, v))
     elif cap == 1:
         out = []
-        marks: set[int] = set()
-        for u, v in edges:
-            key = u * n + v
-            if key in marks:
-                marks.remove(key)
-                continue
-            common = nbr[u] & nbr[v]
-            found = _find_clique(nbr, common, need) if len(common) >= need else None
-            if found is None:
-                out.append((u, v))
-                continue
-            marks.update(a * n + b for a, b in combinations(sorted((u, v, *found)), 2))
-            marks.remove(key)
+        marks: set[int] = set()  # pairs of found cliques at higher lower ends
+        here: set[int] = set()  # the current lower end's neighbours in them
+        for u in sorted(nbr) if isinstance(nbr, dict) else range(n):
+            here.clear()
+            nu = nbr[u]
+            for v in nu:
+                if v < u or v in here:
+                    continue
+                key = u * n + v
+                if key in marks:
+                    marks.remove(key)
+                    continue
+                common = nu & nbr[v]
+                found = _find_clique(nbr, common, need) if len(common) >= need else None
+                if found is None:
+                    out.append((u, v))
+                    continue
+                for a, b in combinations(sorted((u, v, *found)), 2):
+                    if a > u:
+                        marks.add(a * n + b)
+                    elif a == u:
+                        here.add(b)
     else:
         out = []
         for u, v in edges:

@@ -212,7 +212,8 @@ def brute_min_completion(
     """Minimum completion set by iterative deepening over addition counts.
 
     Every size below the answer is refuted, by the root's lower bound or by
-    exhaustive search, so a returned optimum is exact.  Branches place one
+    exhaustive search, so a returned optimum is exact.  A spec that no
+    completion meets, not even the complete graph, ends in InputError.  Branches place one
     missing clique on the lexicographically first unsaturated edge, which
     keeps the search deterministic.  The visited node count and the size the
     deepening starts at are logged at info level.
@@ -226,6 +227,12 @@ def brute_min_completion(
     if not g.is_connected():
         raise InputError("search expects a connected graph")
     search = _Search(g, spec, budget.max_nodes)
+    if search.c_min == g.n - 1:
+        raise InputError(
+            f"no completion exists: on {g.n} vertices an edge lies in at most "
+            f"C({g.n - 2}, {spec.k - 2}) = {comb(g.n - 2, spec.k - 2)} cliques of order "
+            f"{spec.k}, fewer than l = {spec.l}"
+        )
     start = search.lower_bound(search.base)
     try:
         for size in range(start, budget.max_additions + 1):

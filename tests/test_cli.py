@@ -231,6 +231,22 @@ def test_solve_brute_inconclusive_budget(tmp_path, capsys, quiet_env):
     assert "inconclusive" in capsys.readouterr().err
 
 
+def test_solve_brute_refuses_a_spec_no_completion_meets(tmp_path, capsys, quiet_env):
+    # even in K_5 each edge lies in only C(3, 2) = 3 cliques of order 4, so no
+    # budget is large enough: not inconclusive (exit 3) but an input error
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    write_graph(gpath, path_graph(5))
+    code = main([
+        "solve", "--alg", "brute", "--k", "4", "--l", "4", "--max-additions", "40",
+        "--in", str(gpath), "--out", str(cpath),
+    ])
+    assert code == 1 and not cpath.exists()
+    assert capsys.readouterr() == ("", (
+        "error: no completion exists: on 5 vertices an edge lies in at most "
+        "C(3, 2) = 3 cliques of order 4, fewer than l = 4\n"
+    ))
+
+
 def test_solve_brute_refuses_a_graph_over_the_oracle_cap(tmp_path, capsys, quiet_env, monkeypatch):
     def refuse_search(*args):
         raise AssertionError("_Search was built for a graph over the vertex cap")

@@ -21,7 +21,9 @@ PEAK_BYTES_PER_VERTEX = {
     "approx_tree_4": ((445, 580), (336, 440)),
     "approx_tree_k(5)": ((417, 540), (316, 410)),
     "optimal_chordal_31": ((155, 200), (148, 190)),
-    "validate_pairs(3)": ((465, 600), (418, 540)),
+    "validate_pairs(3)": ((310, 400), (313, 410)),
+    "validate_pairs(4)": ((417, 540), (420, 550)),
+    "validate_pairs(5)": ((531, 690), (509, 660)),
 }
 
 
@@ -37,14 +39,20 @@ def _peak(call) -> int:
 def _routes(n: int) -> dict:
     g = gen_random_tree(n, 7)
     t = RootedTree.from_graph(g)
-    completion = optimal_tree_31(t)
+    completions = {3: optimal_tree_31(t), 4: approx_tree_4(t), 5: approx_tree_k(t, 5)}
     chordal = gen_random_chordal(n, 3, 7)
+
+    def check(k):
+        return validate_pairs(n, g.edges, completions[k], CoverSpec(k, 1))
+
     return {
         "optimal_tree_31": lambda: optimal_tree_31(t),
         "approx_tree_4": lambda: approx_tree_4(t),
         "approx_tree_k(5)": lambda: approx_tree_k(t, 5),
         "optimal_chordal_31": lambda: optimal_chordal_31(chordal),
-        "validate_pairs(3)": lambda: validate_pairs(n, g.edges, completion, CoverSpec(3, 1)),
+        "validate_pairs(3)": lambda: check(3),
+        "validate_pairs(4)": lambda: check(4),
+        "validate_pairs(5)": lambda: check(5),
     }
 
 

@@ -211,8 +211,8 @@ def test_oracle_clique_threshold_search_stops_at_n(monkeypatch):
     spec = CoverSpec(3, 3_000_000)
     # with c_min = n - 1 = 3 every vertex needs degree 4: (3 + 2 + 2 + 3) / 2
     assert _root_bound(path_graph(4), spec) == 5
-    res = brute_min_completion(path_graph(4), spec, OracleBudget(max_additions=8))
-    assert (res.status, res.lower_bound) == ("inconclusive", 9)
+    with pytest.raises(InputError, match=r"^no completion exists: .* C\(2, 1\) = 2 cliques"):
+        brute_min_completion(path_graph(4), spec, OracleBudget(max_additions=8))
 
 
 def test_oracle_respects_tree_lower_bound():
