@@ -213,9 +213,9 @@ def brute_min_completion(
 
     Every size below the answer is refuted, by the root's lower bound or by
     exhaustive search, so a returned optimum is exact.  A spec that no
-    completion meets, not even the complete graph, ends in InputError.  Branches place one
-    missing clique on the lexicographically first unsaturated edge, which
-    keeps the search deterministic.  The visited node count and the size the
+    completion meets, not even the complete graph, ends in InputError.
+    Branches place one missing clique on the lexicographically first
+    unsaturated edge, which keeps the search deterministic.  The visited node count and the size the
     deepening starts at are logged at info level.
     """
     if budget is None:
