@@ -101,7 +101,7 @@ def test_validate_completion_rejects_bad_additions():
 
 def test_l1_check_searches_a_clique_once_for_all_its_edges(monkeypatch):
     # counted work: at l = 1 a clique found for one edge covers all its pairs,
-    # so the top-level searches stay a fifth of the edges or fewer (6.7-10.5%
+    # so the top-level searches stay a fifth of the edges or fewer (6.7-11.1%
     # when this gate was set); one search per edge would be near 100%
     find = graph._find_clique
     searches = depth = 0
