@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -14,6 +15,9 @@ from kcover import (
     build_setcover_k,
     build_setcover_k3,
     gen_random_chordal,
+    gen_random_tree,
+    spider_graph,
+    worst_case_spider,
 )
 from kcover import io
 from kcover.reductions import ROLE_KINDS
@@ -51,6 +55,53 @@ def test_edge_list_round_trip():
 def test_edge_list_format_is_sorted_and_newline_terminated():
     text = format_edge_list(path_graph(3))
     assert text == "3 2\n0 1\n1 2\n"
+
+
+# sha256 of format_edge_list over _edge_list_corpus below, recorded before
+# Graph kept its neighbour rows alone; any rewrite of either must reproduce it.
+GOLDEN_EDGE_LISTS_SHA256 = "4499ed0a2c9bff3a469ef3586b998344b1891854ed196bcb629390e7a0251813"
+
+
+def _reordered(g: Graph, rng: random.Random) -> tuple[Graph, Graph]:
+    """g rebuilt from its pairs shuffled, each pair in a random orientation,
+    and from its pairs in reverse order, each pair flipped."""
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edge_list()]
+    rng.shuffle(pairs)
+    return Graph(g.n, pairs), Graph(g.n, [(v, u) for u, v in reversed(g.edge_list())])
+
+
+def _edge_list_corpus():
+    """Seeded trees and chordal graphs, spiders, and each of those rebuilt
+    from reordered pair lists (isolated vertices and an empty graph included)."""
+    rng = random.Random(24)
+    graphs = [Graph(0), Graph(1), Graph(5, [(3, 1)]), Graph(6, [(4, 5), (0, 5), (0, 2)])]
+    for n in (2, 3, 10, 257, 3000):
+        graphs += [gen_random_tree(n, seed) for seed in range(3)]
+    for n in (5, 40, 1000):
+        graphs += [gen_random_chordal(n, w, seed) for w in (1, 2, 4) for seed in range(2)]
+    graphs += [worst_case_spider(n) for n in (4, 9, 100, 1001)]
+    graphs += [spider_graph(legs) for legs in ([1], [3, 1, 2], [5] * 40, list(range(1, 30)))]
+    for g in graphs:
+        yield g
+        yield from _reordered(g, rng)
+
+
+def test_edge_list_text_golden_hash():
+    h = hashlib.sha256()
+    for g in _edge_list_corpus():
+        h.update(format_edge_list(g).encode())
+    assert h.hexdigest() == GOLDEN_EDGE_LISTS_SHA256
+
+
+def test_a_reordered_pair_list_builds_the_same_graph():
+    rng = random.Random(7)
+    for g in (gen_random_tree(500, 3), gen_random_chordal(500, 3, 3), worst_case_spider(50)):
+        for other in _reordered(g, rng):
+            assert other == g and hash(other) == hash(g)
+            assert format_edge_list(other) == format_edge_list(g)
+            assert other.edge_list() == g.edge_list() and other.adj == g.adj
+        assert Graph(g.n, g.edge_list()[1:]) != g
+        assert Graph(g.n + 1, g.edge_list()) != g
 
 
 def test_edge_list_accepts_comments_and_blank_lines():

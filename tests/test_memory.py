@@ -1,4 +1,5 @@
-"""Peak memory per vertex of each solve route and of check.
+"""Peak memory per vertex of building a graph, writing it, each solve route
+and check.
 
 tracemalloc's peak, taken over one call with its input already built, is
 divided by the vertex count.  Each route has its own bound at each size,
@@ -9,14 +10,19 @@ approx_tree_4's do between the two sizes, so no one constant fits both.
 
 import tracemalloc
 
-from kcover import CoverSpec, optimal_chordal_31, validate_pairs
+from kcover import CoverSpec, Graph, optimal_chordal_31, validate_pairs
 from kcover.generators import gen_random_chordal, gen_random_tree
+from kcover.io import format_edge_list
 from kcover.trees import RootedTree, approx_tree_4, approx_tree_k, optimal_tree_31
 
 SIZES = (20_000, 40_000)
 
 # route -> bytes per vertex at each of SIZES, as (measured, bound)
 PEAK_BYTES_PER_VERTEX = {
+    "Graph(tree)": ((316, 410), (277, 360)),
+    "Graph(chordal)": ((404, 530), (353, 460)),
+    "format_edge_list(tree)": ((89, 120), (91, 120)),
+    "format_edge_list(chordal)": ((154, 200), (157, 205)),
     "optimal_tree_31": ((239, 310), (245, 320)),
     "approx_tree_4": ((445, 580), (336, 440)),
     "approx_tree_k(5)": ((417, 540), (316, 410)),
@@ -41,11 +47,16 @@ def _routes(n: int) -> dict:
     t = RootedTree.from_graph(g)
     completions = {3: optimal_tree_31(t), 4: approx_tree_4(t), 5: approx_tree_k(t, 5)}
     chordal = gen_random_chordal(n, 3, 7)
+    tree_pairs, chordal_pairs = g.edge_list(), chordal.edge_list()
 
     def check(k):
-        return validate_pairs(n, g.edges, completions[k], CoverSpec(k, 1))
+        return validate_pairs(n, tree_pairs, completions[k], CoverSpec(k, 1))
 
     return {
+        "Graph(tree)": lambda: Graph(n, tree_pairs),
+        "Graph(chordal)": lambda: Graph(n, chordal_pairs),
+        "format_edge_list(tree)": lambda: format_edge_list(g),
+        "format_edge_list(chordal)": lambda: format_edge_list(chordal),
         "optimal_tree_31": lambda: optimal_tree_31(t),
         "approx_tree_4": lambda: approx_tree_4(t),
         "approx_tree_k(5)": lambda: approx_tree_k(t, 5),
