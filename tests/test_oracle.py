@@ -171,12 +171,34 @@ def test_oracle_with_an_inflated_bound_disagrees_with_naive(monkeypatch):
     assert _disagreements_with_naive() > 0
 
 
+def _counting_matching(run):
+    """run()'s result, and how often it called _Search._common_deficit.  The
+    count wraps the call and changes nothing the search does."""
+    calls = 0
+    matching = oracle._Search._common_deficit
+
+    def counting(self, adj, limit):
+        nonlocal calls
+        calls += 1
+        return matching(self, adj, limit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle._Search, "_common_deficit", counting)
+        result = run()
+    return result, calls
+
+
 @pytest.fixture(scope="module")
-def nine_vertex_tree():
-    # one unpatched search, shared by the tests that read its result
-    return brute_min_completion(
+def nine_vertex_run():
+    # one search, shared by the tests that read its result or its matching calls
+    return _counting_matching(lambda: brute_min_completion(
         gen_random_tree(9, 9002), CoverSpec(4, 2), OracleBudget(max_additions=16)
-    )
+    ))
+
+
+@pytest.fixture(scope="module")
+def nine_vertex_tree(nine_vertex_run):
+    return nine_vertex_run[0]
 
 
 def test_oracle_node_count_on_a_nine_vertex_tree(nine_vertex_tree):
@@ -252,6 +274,12 @@ def test_setcover_oracle_refuses_oversized_instances():
         brute_min_setcover(FIG, max_sets=2)
 
 
+def test_setcover_oracle_enumerates_twenty_sets_by_default():
+    assert brute_min_setcover(SetCoverInstance(1, [frozenset({0})] * 20)) == [0]
+    with pytest.raises(InconclusiveError, match="^21 sets exceeds the enumeration cap 20$"):
+        brute_min_setcover(SetCoverInstance(1, [frozenset({0})] * 21))
+
+
 def _exact_small_corpus():
     # the fixed corpus of perfbench's exact-small workload, at the same specs
     specs = ((3, 1), (4, 1), (5, 1), (3, 2), (4, 2))
@@ -269,10 +297,17 @@ def _exact_small_corpus():
 
 
 @pytest.fixture(scope="module")
-def corpus_results():
-    # one unpatched run over the corpus, shared by the tests that read it
+def corpus_run():
+    # one run over the corpus, shared by the tests that read it or its matching calls
     budget = OracleBudget(max_additions=16)
-    return [brute_min_completion(g, spec, budget) for g, spec in _exact_small_corpus()]
+    return _counting_matching(
+        lambda: [brute_min_completion(g, spec, budget) for g, spec in _exact_small_corpus()]
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus_results(corpus_run):
+    return corpus_run[0]
 
 
 def test_oracle_golden_hash(corpus_results):
@@ -293,21 +328,12 @@ def test_oracle_node_counts_are_pinned(corpus_results, nine_vertex_tree):
     assert (corpus, nine_vertex_tree.nodes) == (44_642, 172_018)
 
 
-def test_oracle_runs_the_matching_only_where_the_degree_deficit_does_not_cut(monkeypatch):
+def test_oracle_runs_the_matching_only_where_the_degree_deficit_does_not_cut(
+    corpus_run, nine_vertex_run
+):
     # counted work: the degree deficit alone cuts most states, so the
     # common-neighbour matching runs on at most 35% of the visited nodes
-    calls = 0
-    matching = oracle._Search._common_deficit
-
-    def counting(self, adj, limit):
-        nonlocal calls
-        calls += 1
-        return matching(self, adj, limit)
-
-    monkeypatch.setattr(oracle._Search, "_common_deficit", counting)
-    budget = OracleBudget(max_additions=16)
-    corpus = sum(brute_min_completion(g, spec, budget).nodes for g, spec in _exact_small_corpus())
-    assert calls <= 0.35 * corpus
-    calls = 0
-    tree = brute_min_completion(gen_random_tree(9, 9002), CoverSpec(4, 2), budget).nodes
-    assert calls <= 0.35 * tree
+    results, calls = corpus_run
+    assert calls <= 0.35 * sum(res.nodes for res in results)
+    tree, calls = nine_vertex_run
+    assert calls <= 0.35 * tree.nodes
