@@ -7,6 +7,7 @@ with u < v.  Graphs are immutable; edits return new graphs.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, starmap
@@ -27,8 +28,8 @@ def norm_edge(u: int, v: int) -> Edge:
 
 def _checked_edges(
     pairs: Iterable[tuple[int, int]], n: int | None, noun: str = "edge"
-) -> tuple[list[Edge], frozenset[Edge]]:
-    """The pairs as (min, max) edges in input order, and their set.
+) -> list[Edge]:
+    """The pairs as (min, max) edges in input order.
 
     A negative n, a self-loop, an endpoint outside 0..n-1 (unless n is None)
     and a repeat (a duplicate noun) are refused.  Bulk checks find a fault; an
@@ -37,8 +38,7 @@ def _checked_edges(
     if n is not None and n < 0:
         raise InputError("vertex count must be non-negative")
     edges = [(u, v) if u < v else (v, u) for u, v in pairs]
-    edge_set = frozenset(edges)
-    if len(edge_set) < len(edges) or any(starmap(eq, edges)) or n is not None and (
+    if len(frozenset(edges)) < len(edges) or any(starmap(eq, edges)) or n is not None and (
         min(edges, default=(0,))[0] < 0 or max(map(itemgetter(1), edges), default=-1) >= n
     ):
         seen: set[Edge] = set()
@@ -49,39 +49,83 @@ def _checked_edges(
             if e in seen:
                 raise InputError(f"duplicate {noun} {e}")
             seen.add(e)
-    return edges, edge_set
+    return edges
+
+
+def _sorted_rows(
+    n: int, pairs: Iterable[tuple[int, int]]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The sorted neighbour rows of the graph on 0..n-1 whose edges are the
+    pairs, and the pair count, refusing what _checked_edges refuses.
+
+    The rows show a fault in bulk: an endpoint of n or more, or below -n,
+    stops the fill; one in -n..-1 heads a row; a repeat or a self-loop leaves
+    equal neighbours side by side in a row, so its set is shorter.  Only then
+    does _checked_edges rescan the pairs, which raises the first fault.
+    """
+    if n < 0:
+        raise InputError("vertex count must be non-negative")
+    if not isinstance(pairs, (list, tuple)):
+        pairs = list(pairs)
+    rows: list = [[] for _ in range(n)]  # lists while filled, then sorted tuples
+    try:
+        for u, v in pairs:
+            rows[u].append(v)
+            rows[v].append(u)
+    except IndexError:
+        _checked_edges(pairs, n)
+    for v, row in enumerate(rows):  # each list is freed once its tuple is made
+        row.sort()
+        rows[v] = tuple(row)
+    if (
+        min(map(itemgetter(0), filter(None, rows)), default=0) < 0
+        or sum(map(len, map(set, rows))) < 2 * len(pairs)
+    ):
+        _checked_edges(pairs, n)
+    return tuple(rows), len(pairs)
+
+
+def _in_row(row: Sequence[int], w: int) -> bool:
+    """Whether w is in the ascending row, by bisection."""
+    i = bisect_left(row, w)
+    return i < len(row) and row[i] == w
+
+
+def _upper_pairs(adj: Sequence[Sequence[int]]) -> Iterator[Edge]:
+    """The edges (u, v), u < v, of the sorted neighbour rows adj, in order."""
+    for u, row in enumerate(adj):
+        for v in row[bisect_right(row, u):]:
+            yield u, v
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1, held as its
+    sorted neighbour rows: adj[v] lists v's neighbours in ascending order."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        listed, self.edges = _checked_edges(edges, n)
-        adj_lists: list[list[int]] = [[] for _ in range(n)]
-        for a, b in listed:
-            adj_lists[a].append(b)
-            adj_lists[b].append(a)
         self.n = n
-        self.adj = tuple(tuple(sorted(a)) for a in adj_lists)
+        self.adj, self.m = _sorted_rows(n, edges)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, built on each read; the package reads the rows."""
+        return frozenset(_upper_pairs(self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
+        u, v = norm_edge(u, v)
+        return 0 <= u and v < self.n and _in_row(self.adj[u], v)
 
     def edge_list(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(_upper_pairs(self.adj))
 
     def without_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         drop = {norm_edge(u, v) for u, v in pairs}
-        missing = drop - self.edges
+        missing = sorted(e for e in drop if not self.has_edge(*e))
         if missing:
-            raise InputError(f"cannot remove non-edges {sorted(missing)}")
-        return Graph(self.n, self.edges - drop)
+            raise InputError(f"cannot remove non-edges {missing}")
+        return Graph(self.n, [e for e in _upper_pairs(self.adj) if e not in drop])
 
     def components(self) -> list[list[int]]:
         return components(self.adj, range(self.n))
@@ -90,12 +134,10 @@ class Graph:
         return _is_connected(self.adj, self.n)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -167,7 +209,7 @@ class CompletionSet:
     __slots__ = ("additions",)
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        self.additions = tuple(_checked_edges(pairs, None, "addition")[0])
+        self.additions = tuple(_checked_edges(pairs, None, "addition"))
 
     def __len__(self) -> int:
         return len(self.additions)
@@ -265,39 +307,47 @@ def _find_clique(
 
 
 def _unsaturated(
-    nbr: Sequence[set[int]] | Mapping[int, set[int]],
-    edges: Iterable[Edge],
-    spec: CoverSpec,
-    n: int,
+    nbr: Sequence[set[int]] | Mapping[int, set[int]], spec: CoverSpec, n: int
 ) -> list[Edge]:
     """The edges lying in fewer than spec.l cliques of order spec.k, sorted.
 
-    nbr[v] is v's neighbour set in the graph on 0..n-1 whose edges are edges.
-    At l = 1 and k >= 5, a clique found for one edge covers all its pairs, so
-    the edges are scanned from nbr by lower end, in ascending order, and the
-    pairs of each clique found that the scan has yet to reach are marked and
-    skipped when reached: as the integers u * n + v, or, at the current lower
-    end, as its neighbour.  A mark is dropped when its edge is reached.
+    nbr[v] is v's neighbour set in the graph on 0..n-1; a dict need only hold
+    the vertices with a neighbour.  The edges are scanned from nbr by lower
+    end.  At l = 1 and k >= 5, a clique found for one edge covers all its
+    pairs, so the lower ends are taken in ascending order, and the pairs of
+    each clique found that the scan has yet to reach are marked and skipped
+    when reached: as the integers u * n + v, or, at the current lower end, as
+    its neighbour.  A mark is dropped when its edge is reached.
     """
     need, cap = spec.k - 2, spec.l
+    is_dict = isinstance(nbr, dict)
+    rows = nbr.items() if is_dict else enumerate(nbr)
+    out: list[Edge] = []
     if need == cap == 1:  # no common neighbour, without building the intersection
-        out = [(u, v) for u, v in edges if nbr[u].isdisjoint(nbr[v])]
+        for u, nu in rows:
+            for v in nu:
+                if v > u and nu.isdisjoint(nbr[v]):
+                    out.append((u, v))
     elif need == 1:
-        out = [(u, v) for u, v in edges if len(nbr[u] & nbr[v]) < cap]
+        for u, nu in rows:
+            for v in nu:
+                if v > u and len(nu & nbr[v]) < cap:
+                    out.append((u, v))
     elif need == 2 and cap == 1:  # no edge among the common neighbours
-        out = []
-        for u, v in edges:
-            common = nbr[u] & nbr[v]
-            for x in common:
-                if not common.isdisjoint(nbr[x]):
-                    break
-            else:
-                out.append((u, v))
+        for u, nu in rows:
+            for v in nu:
+                if v < u:
+                    continue
+                common = nu & nbr[v]
+                for x in common:
+                    if not common.isdisjoint(nbr[x]):
+                        break
+                else:
+                    out.append((u, v))
     elif cap == 1:
-        out = []
         marks: set[int] = set()  # pairs of found cliques at higher lower ends
         here: set[int] = set()  # the current lower end's neighbours in them
-        for u in sorted(nbr) if isinstance(nbr, dict) else range(n):
+        for u in sorted(nbr) if is_dict else range(n):
             here.clear()
             nu = nbr[u]
             for v in nu:
@@ -318,25 +368,27 @@ def _unsaturated(
                     elif a == u:
                         here.add(b)
     else:
-        out = []
-        for u, v in edges:
-            common = nbr[u] & nbr[v]
-            if len(common) < need or _count_cliques(nbr, common, need, cap) < cap:
-                out.append((u, v))
+        for u, nu in rows:
+            for v in nu:
+                if v < u:
+                    continue
+                common = nu & nbr[v]
+                if len(common) < need or _count_cliques(nbr, common, need, cap) < cap:
+                    out.append((u, v))
     out.sort()
     return out
 
 
 def unsaturated_edges(g: Graph, spec: CoverSpec) -> list[Edge]:
     """Edges lying in fewer than spec.l cliques of order spec.k, in lexicographic order."""
-    return _unsaturated([set(a) for a in g.adj], g.edges, spec, g.n)
+    return _unsaturated([set(a) for a in g.adj], spec, g.n)
 
 
 def apply_completion(g: Graph, c: CompletionSet) -> Graph:
     """Add every pair of c to g.  Pairs must be non-edges; duplicates are rejected."""
     for e in c:
-        _check_addition(e, g.n, e in g.edges)
-    return Graph(g.n, list(g.edges) + list(c))
+        _check_addition(e, g.n, g.has_edge(*e))
+    return Graph(g.n, [*_upper_pairs(g.adj), *c])
 
 
 def _check_addition(e: Edge, n: int, is_edge: bool) -> None:
@@ -353,27 +405,28 @@ def validate_pairs(
     and is connected, raising the InputErrors of Graph(n, pairs) and of
     apply_completion.
 
-    No Graph is built: the pairs, ordered, and c's additions go into neighbour
-    sets, held only for the vertices they touch, so memory follows the input
-    and not n.  A repeat, or an addition that is already an edge, leaves the
-    sets' sizes short of twice the pair count; only a fault found in bulk
-    makes the in-order rescan run, which raises the first one.  Every edge is
-    then scanned once against those sets (see _cover_check).
+    No Graph is built: the pairs and c's additions go into neighbour sets,
+    held only for the vertices they touch, so memory follows the input and not
+    n.  A repeat, a self-loop or an addition that is already an edge leaves
+    the sets' sizes short of twice the pair count, and the sets' keys are the
+    endpoints; only a fault found in bulk makes the in-order rescan run, which
+    raises the first one.  Every edge is then scanned once against those sets
+    (see _cover_check).
     """
     if n < 0:
         raise InputError("vertex count must be non-negative")
-    edges = [p if p[0] < p[1] else (p[1], p[0]) for p in pairs]
-    nbr = neighbour_sets(chain(edges, c))
+    if not isinstance(pairs, (list, tuple)):
+        pairs = list(pairs)
+    nbr = neighbour_sets(chain(pairs, c))
     if (
-        sum(map(len, nbr.values())) < 2 * (len(edges) + len(c))
-        or any(starmap(eq, edges))
-        or min(map(itemgetter(0), chain(edges, c)), default=0) < 0
-        or max(map(itemgetter(1), chain(edges, c)), default=-1) >= n
+        sum(map(len, nbr.values())) < 2 * (len(pairs) + len(c))
+        or min(nbr, default=0) < 0
+        or max(nbr, default=-1) >= n
     ):
-        edge_set = _checked_edges(edges, n)[1]
+        edge_set = frozenset(_checked_edges(pairs, n))
         for e in c:
             _check_addition(e, n, e in edge_set)
-    return _cover_check(n, nbr, chain(edges, c), spec)
+    return _cover_check(n, nbr, spec)
 
 
 def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverCheck:
@@ -383,18 +436,15 @@ def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverChe
     """
     nbr = [set(a) for a in g.adj]
     for e in c:
-        _check_addition(e, g.n, e in g.edges)
         u, v = e
+        _check_addition(e, g.n, 0 <= u and v < g.n and v in nbr[u])
         nbr[u].add(v)
         nbr[v].add(u)
-    return _cover_check(g.n, nbr, chain(g.edges, c), spec)
+    return _cover_check(g.n, nbr, spec)
 
 
 def _cover_check(
-    n: int,
-    nbr: Sequence[set[int]] | Mapping[int, set[int]],
-    edges: Iterable[Edge],
-    spec: CoverSpec,
+    n: int, nbr: Sequence[set[int]] | Mapping[int, set[int]], spec: CoverSpec
 ) -> CoverCheck:
     """The verdict on the graph on 0..n-1 whose neighbour sets are nbr.
 
@@ -402,7 +452,7 @@ def _cover_check(
     nbr does not hold leaves the graph disconnected; otherwise one search from
     vertex 0 counts the vertices it reaches.
     """
-    violations = tuple(_unsaturated(nbr, edges, spec, n))
+    violations = tuple(_unsaturated(nbr, spec, n))
     connected = _is_connected(nbr, n) if len(nbr) == n else n <= 1
     return CoverCheck(ok=not violations and connected, violations=violations, connected=connected)
 
@@ -453,7 +503,7 @@ def check_chordal(g: Graph) -> ChordalityResult:
     in elimination order that fails this test.  Its later neighbours are not
     a clique, though an earlier vertex's may not be one either.
     """
-    n, adj, edges = g.n, g.adj, g.edges
+    n, adj = g.n, g.adj
     weight = [0] * n
     rank = [-1] * n  # visit position, -1 until numbered
     # buckets[w]: heap of the ids pushed at weight w; no weight exceeds a degree
@@ -481,9 +531,8 @@ def check_chordal(g: Graph) -> ChordalityResult:
                 top = wt
         if len(later) > 1:
             u = max(later, key=rank.__getitem__)
-            for w in later:
-                if w != u and ((u, w) if u < w else (w, u)) not in edges:
-                    certificate = v
+            if any(w != u and not _in_row(adj[u], w) for w in later):
+                certificate = v
     if certificate is not None:
         return ChordalityResult(False, None, certificate)
     return ChordalityResult(True, tuple(visit[::-1]), None)

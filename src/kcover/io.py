@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from pathlib import Path
 
 from .errors import InputError
@@ -152,9 +153,15 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    rows = [f"{g.n} {g.m}"]
-    rows.extend(f"{u} {v}" for u, v in g.edge_list())
-    return "\n".join(rows) + "\n"
+    """The header and the edges in ascending order, written from g's sorted
+    neighbour rows: one string per lower end, with no edge tuples."""
+    lines = [f"{g.n} {g.m}"]
+    for u, row in enumerate(g.adj):
+        upper = row[bisect_right(row, u):]
+        if upper:
+            head = f"{u} "
+            lines.append(head + f"\n{head}".join(map(str, upper)))
+    return "\n".join(lines) + "\n"
 
 
 def parse_completion(text: str) -> CompletionSet:

@@ -74,10 +74,8 @@ class _Search:
         self.k = spec.k
         self.l = spec.l
         self.max_nodes = max_nodes
-        self.base = [0] * g.n
-        for u, v in g.edges:
-            self.base[u] |= 1 << v
-            self.base[v] |= 1 << u
+        # the neighbours' bits are distinct, so their sum is their union
+        self.base = [sum(map((1).__lshift__, row)) for row in g.adj]
         # each edge of a solution has c_min common neighbours; n - 1 means none exists
         self.c_min = self.k - 2
         while self.c_min < self.n - 1 and comb(self.c_min, self.k - 2) < self.l:

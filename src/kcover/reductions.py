@@ -132,12 +132,8 @@ class LabeledReductionGraph:
 
     def covering_sets(self, i: int) -> list[int]:
         """Indices of sets containing item i, read off the membership edges."""
-        probe = self.item_ids[i][0]
-        return [
-            j
-            for j in range(self.set_count)
-            if self.graph.has_edge(probe, self.set_ids[j][0])
-        ]
+        near = set(self.graph.adj[self.item_ids[i][0]])
+        return [j for j, ids in enumerate(self.set_ids) if ids[0] in near]
 
     @classmethod
     def from_roles(cls, graph: Graph, roles: Sequence[Role], k: int) -> "LabeledReductionGraph":
@@ -300,7 +296,7 @@ class _AnchorPurchase:
 
     def buy(self, j: int) -> None:
         e = self.rg.anchor_edge(j)
-        _check_addition(e, self.rg.graph.n, e in self.rg.graph.edges)
+        _check_addition(e, self.rg.graph.n, self.rg.graph.has_edge(*e))
         u, v = e
         if v not in self.nbr[u]:
             self.nbr[u].add(v)
@@ -359,7 +355,6 @@ def goodify_k(rg: LabeledReductionGraph, c: CompletionSet, k: int) -> Completion
         if ju is not None and jv is not None and ju != jv:
             bought.buy(min(ju, jv))
     added = neighbour_sets(c)  # the input's pairs by endpoint
-    orig = rg.graph.edges
     while True:
         before = len(bought.out)
         unsat = [
@@ -372,10 +367,10 @@ def goodify_k(rg: LabeledReductionGraph, c: CompletionSet, k: int) -> Completion
         i = unsat[0]
         xi, xj = rg.item_ids[i]
         v = None
-        near_i, near_j = (set(rg.graph.adj[x]) | added.get(x, set()) for x in (xi, xj))
+        orig_i, orig_j = set(rg.graph.adj[xi]), set(rg.graph.adj[xj])
+        near_i, near_j = orig_i | added.get(xi, set()), orig_j | added.get(xj, set())
         for cand in sorted(near_i & near_j):
-            touches = (norm_edge(xi, cand) in orig) + (norm_edge(xj, cand) in orig)
-            if touches <= 1:
+            if (cand in orig_i) + (cand in orig_j) <= 1:
                 v = cand
                 break
         if v is None:
@@ -441,9 +436,9 @@ def _check_spider(inst: ThreePartitionInstance, spider: Graph) -> None:
     one before it on its leg, the center for a leg's first vertex."""
     n = 1 + sum(inst.values)
     firsts = set(accumulate(inst.values, initial=1))
-    edges = spider.edges
+    adj = spider.adj
     if spider.n != n or spider.m != n - 1 or not all(
-        (0 if v in firsts else v - 1, v) in edges for v in range(1, n)
+        (0 if v in firsts else v - 1) in adj[v] for v in range(1, n)
     ):
         raise InputError("spider does not match the instance's leg layout")
 
@@ -466,6 +461,7 @@ def completion_from_partition(
         raise InputError("partition must use every leg exactly once")
     # leg i holds the vertices starts[i] .. starts[i + 1] - 1
     starts = list(accumulate(inst.values, initial=1))
+    adj = spider.adj  # a row other than the center's holds at most two vertices
     additions: list[Edge] = []
     for triple in partition:
         total = sum(inst.values[i] for i in triple)
@@ -477,7 +473,7 @@ def completion_from_partition(
         for leg in triple:
             verts.extend(range(starts[leg], starts[leg + 1]))
         for a, b in combinations(sorted(verts), 2):
-            if (a, b) not in spider.edges:
+            if a not in adj[b]:
                 additions.append((a, b))
     return CompletionSet(additions)
 
@@ -500,7 +496,7 @@ def partition_from_edge_partition(
     for group in groups:
         g_edges = [norm_edge(u, v) for u, v in group]
         for e in g_edges:
-            if e not in spider.edges:
+            if not spider.has_edge(*e):
                 raise InputError(f"{e} is not a spider edge")
             if e in seen:
                 raise InputError(f"edge {e} appears in two groups")

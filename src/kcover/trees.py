@@ -74,10 +74,14 @@ def _leave(parent: Sequence[int], count: list[int], gone: Sequence[int]) -> None
         count[d] = -1
 
 
-def _add_clique(vertices: Sequence[int], occupied: set[Edge], additions: list[Edge]) -> None:
-    """Add each pair of the ascending `vertices` that is not yet occupied."""
+def _add_clique(
+    vertices: Sequence[int], parent: Sequence[int], occupied: set[Edge], additions: list[Edge]
+) -> None:
+    """Add each pair of the ascending `vertices` that is neither a tree edge,
+    one end being the other's parent, nor in `occupied`, the pairs added."""
     for e in combinations(vertices, 2):
-        if e not in occupied:
+        a, b = e
+        if parent[b] != a and parent[a] != b and e not in occupied:
             occupied.add(e)
             additions.append(e)
 
@@ -153,7 +157,7 @@ def bridge_chord(g: Graph, u: int, v: int, added: set[Edge]) -> Edge:
             if x == far:
                 continue
             e = norm_edge(far, x)
-            if e in g.edges:
+            if g.has_edge(*e):
                 raise AssertionError("bridge endpoint neighbor already closes a triangle")
             if e not in added:
                 return e
@@ -395,10 +399,12 @@ def _pad_vertices(chosen: Iterable[int], n: int, want: int) -> list[int]:
 def _clique_cover_loop(
     adj: Sequence[Sequence[int]],
     k: int,
+    parent: Sequence[int],
     occupied: set[Edge],
     additions: list[Edge],
 ) -> tuple[list[int], int]:
-    """Cover a forest's edges by k-cliques, extending `occupied` and `additions`.
+    """Cover by k-cliques the edges of a forest inside the tree whose parent
+    array is `parent`, extending `occupied` and `additions` (see _add_clique).
 
     Returns the number of forest edges covered at each iteration and the
     number of vertices the forest pool explored.
@@ -409,7 +415,7 @@ def _clique_cover_loop(
         vertices, edges = _extract_step(pool, k)
         if len(vertices) < k:
             vertices = sorted(vertices + _pad_vertices(vertices, len(adj), k - len(vertices)))
-        _add_clique(vertices, occupied, additions)
+        _add_clique(vertices, parent, occupied, additions)
         covered.append(len(edges))
     return covered, pool.explored
 
@@ -423,7 +429,7 @@ def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
     if g.n < k:
         raise InputError(f"tree has {g.n} vertices, needs at least k={k}")
     additions: list[Edge] = []
-    _clique_cover_loop(g.adj, k, set(g.edges), additions)
+    _clique_cover_loop(g.adj, k, t.parent, set(), additions)
     return CompletionSet(additions)
 
 
@@ -453,7 +459,7 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     for v in range(n):
         if count[v]:
             heapq.heappush(buckets[depth[v]], (-count[v], v))
-    occupied = set(g.edges)
+    occupied: set[Edge] = set()
     additions: list[Edge] = []
     banked: list[Edge] = []
     live = n
@@ -491,7 +497,7 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
                     banked.append(norm_edge(u1, c))
                     dead.append(c)
         # the 4-clique: the survivor and the three that leave, not a banked child
-        _add_clique(sorted([survivor, *dead[:3]]), occupied, additions)
+        _add_clique(sorted([survivor, *dead[:3]]), parent, occupied, additions)
         _leave(parent, count, dead)
         live -= len(dead)
         if count[survivor] > 0:
@@ -500,7 +506,7 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     # live and so is each live vertex's parent
     banked += [norm_edge(parent[v], v) for v in range(1, n) if count[v] >= 0]
     if banked:
-        _clique_cover_loop(_banked_rows(n, banked), 4, occupied, additions)
+        _clique_cover_loop(_banked_rows(n, banked), 4, parent, occupied, additions)
     # every addition is in occupied too; free it before CompletionSet copies them
     del occupied
     return CompletionSet(additions)

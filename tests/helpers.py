@@ -78,8 +78,9 @@ def cover_trace(g: Graph, k: int) -> tuple[CompletionSet, list[int], int]:
     reports: the tree edges covered at each iteration and the vertices the
     forest pool explored."""
     additions: list[tuple[int, int]] = []
-    covered, explored = _clique_cover_loop(g.adj, k, set(g.edges), additions)
-    completion = approx_tree_k(RootedTree.from_graph(g), k)
+    t = RootedTree.from_graph(g)
+    covered, explored = _clique_cover_loop(g.adj, k, t.parent, set(), additions)
+    completion = approx_tree_k(t, k)
     assert completion == CompletionSet(additions)
     return completion, covered, explored
 

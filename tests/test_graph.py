@@ -252,8 +252,8 @@ def _with_one_nonedge(g: Graph, seed: int) -> Graph:
     rng = random.Random(seed)
     while True:
         e = tuple(sorted(rng.sample(range(g.n), 2)))
-        if e not in g.edges:
-            return Graph(g.n, list(g.edges) + [e])
+        if not g.has_edge(*e):
+            return Graph(g.n, g.edge_list() + [e])
 
 
 def _search_corpus():

@@ -65,7 +65,7 @@ def test_goodify_follows_or_refuses_a_role_map_with_exchanged_roles(items, sets,
         roles[a], roles[b] = roles[b], roles[a]
     edited = LabeledReductionGraph.from_roles(rg.graph, roles, k)
     pairs = combinations(range(rg.graph.n), 2)
-    every = CompletionSet(e for e in pairs if e not in rg.graph.edges)
+    every = CompletionSet(e for e in pairs if not rg.graph.has_edge(*e))
     try:
         good = goodify_3(edited, every) if k == 3 else goodify_k(edited, every, k)
     except InputError:
