@@ -37,7 +37,10 @@ def _checked_edges(
     """
     if n is not None and n < 0:
         raise InputError("vertex count must be non-negative")
-    edges = [(u, v) if u < v else (v, u) for u, v in pairs]
+    # an ordered pair that is a tuple already is kept, not copied
+    edges = [
+        (p if type(p) is tuple else (u, v)) if u < v else (v, u) for p in pairs for u, v in (p,)
+    ]
     if len(frozenset(edges)) < len(edges) or any(starmap(eq, edges)) or n is not None and (
         min(edges, default=(0,))[0] < 0 or max(map(itemgetter(1), edges), default=-1) >= n
     ):
@@ -134,7 +137,7 @@ class Graph:
         return _is_connected(self.adj, self.n)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.adj == other.adj  # n is len(adj)
 
     def __hash__(self) -> int:
         return hash(self.adj)
