@@ -19,13 +19,13 @@ SIZES = (20_000, 40_000)
 
 # route -> bytes per vertex at each of SIZES, as (measured, bound)
 PEAK_BYTES_PER_VERTEX = {
-    "Graph(tree)": ((316, 410), (277, 360)),
-    "Graph(chordal)": ((404, 530), (353, 460)),
-    "format_edge_list(tree)": ((89, 120), (91, 120)),
-    "format_edge_list(chordal)": ((154, 200), (157, 205)),
+    "Graph(tree)": ((97, 130), (97, 130)),
+    "Graph(chordal)": ((110, 145), (110, 145)),
+    "format_edge_list(tree)": ((68, 90), (70, 92)),
+    "format_edge_list(chordal)": ((75, 100), (78, 102)),
     "optimal_tree_31": ((239, 310), (245, 320)),
-    "approx_tree_4": ((445, 580), (336, 440)),
-    "approx_tree_k(5)": ((417, 540), (316, 410)),
+    "approx_tree_4": ((350, 455), (278, 360)),
+    "approx_tree_k(5)": ((287, 375), (223, 290)),
     "optimal_chordal_31": ((155, 200), (148, 190)),
     "validate_pairs(3)": ((310, 400), (313, 410)),
     "validate_pairs(4)": ((417, 540), (420, 550)),
