@@ -439,8 +439,8 @@ def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverChe
     """
     nbr = [set(a) for a in g.adj]
     for e in c:
+        _check_addition(e, g.n, g.has_edge(*e))
         u, v = e
-        _check_addition(e, g.n, 0 <= u and v < g.n and v in nbr[u])
         nbr[u].add(v)
         nbr[v].add(u)
     return _cover_check(g.n, nbr, spec)
