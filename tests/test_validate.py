@@ -1,5 +1,6 @@
 """validate_completion against the independent slow checker in helpers.py."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from kcover import (
     CoverSpec,
     Graph,
     InputError,
+    apply_completion,
     approx_tree_4,
     approx_tree_k,
     build_setcover_k,
@@ -19,7 +21,9 @@ from kcover import (
     gen_random_tree,
     optimal_chordal_31,
     optimal_tree_31,
+    unsaturated_edges,
     validate_completion,
+    validate_pairs,
 )
 
 from kcover import graph
@@ -28,6 +32,12 @@ from helpers import nonedges, rooted, slow_validate
 
 ORDERS = (3, 4, 5, 6)
 MULTIPLICITIES = (1, 2, 3)
+
+# sha256 of the verdicts of validate_pairs, validate_completion and
+# unsaturated_edges on the cases of _cover_check_cases below at every k in
+# ORDERS and l in MULTIPLICITIES, recorded before the clique scan's special
+# routes were cut; any rewrite of the scan must reproduce it.
+GOLDEN_COVER_CHECK_SHA256 = "42f3ea7004a8d7ad6b7b85e894df76f92db374fabc0062fb60eca1b795b534ea"
 
 
 def _disjoint(a: Graph, b: Graph) -> Graph:
@@ -125,3 +135,43 @@ def test_l1_check_searches_a_clique_once_for_all_its_edges(monkeypatch):
         searches = 0
         assert validate_completion(g, c, CoverSpec(k, 1)).ok
         assert searches <= 0.2 * (g.m + len(c)), (k, g.n, searches)
+
+
+def _cover_check_cases():
+    """(graph, completion): seeded trees and chordal graphs of 100-2,000
+    vertices and the k = 4 and k = 6 SET COVER gadgets, each with a solver's
+    or the anchors' completion and with a seeded half of it."""
+    rng = random.Random(25)
+    cases = []
+    for n, seed in ((100, 1), (1000, 2)):
+        g = gen_random_tree(n, seed)
+        t = rooted(g)
+        cases += [(g, c) for c in (optimal_tree_31(t), approx_tree_4(t))]
+        cases += [(g, approx_tree_k(t, k)) for k in (5, 6)]
+    for n, width, seed in ((300, 2, 3), (2000, 4, 4)):
+        g = gen_random_chordal(n, width, seed)
+        cases.append((g, optimal_chordal_31(g)))
+    inst = gen_random_setcover(4, 4, 0.5, 5)
+    for k in (4, 6):
+        rg = build_setcover_k(inst, k)
+        cases.append((rg.graph, completion_from_cover(rg, range(rg.set_count))))
+    for g, c in cases:
+        yield g, c
+        pairs = list(c)
+        yield g, CompletionSet(rng.sample(pairs, len(pairs) // 2))
+
+
+def test_cover_check_golden_hash():
+    h = hashlib.sha256()
+    verdicts = {"ok": 0, "failing": 0}
+    for g, c in _cover_check_cases():
+        pairs, joined = g.edge_list(), apply_completion(g, c)
+        for k in ORDERS:
+            for l in MULTIPLICITIES:
+                spec = CoverSpec(k, l)
+                for check in (validate_pairs(g.n, pairs, c, spec), validate_completion(g, c, spec)):
+                    h.update(f"{check.violations} {check.connected}\n".encode())
+                    verdicts["ok" if not check.violations else "failing"] += 1
+                h.update(f"{unsaturated_edges(joined, spec)}\n".encode())
+    assert min(verdicts.values()) >= 20, verdicts
+    assert h.hexdigest() == GOLDEN_COVER_CHECK_SHA256

@@ -26,18 +26,20 @@ def test_validate_completion_matches_slow_checker_property(n, k, l, data):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(n=st.integers(4, 12), k=st.integers(4, 7), density=st.integers(50, 95),
-       seed=st.integers(0, 2**32 - 1))
-def test_validate_at_l1_matches_slow_checker_on_dense_graphs_property(n, k, density, seed):
+@given(n=st.integers(4, 12), k=st.integers(3, 7), l=st.integers(1, 3),
+       density=st.integers(50, 95), seed=st.integers(0, 2**32 - 1))
+def test_validate_matches_slow_checker_on_dense_graphs_property(n, k, l, density, seed):
     # most pairs are present, so most edges lie in k-cliques, several of
-    # which share edges; each pair is absent, an edge of g or an addition
+    # which share edges, and the clique counts run deep; each pair is
+    # absent, an edge of g or an addition
     rng = random.Random(seed)
     present = [p for p in combinations(range(n), 2) if rng.randrange(100) < density]
     added = [rng.random() < 0.3 for _ in present]
     g = Graph(n, [p for p, a in zip(present, added) if not a])
     c = CompletionSet(p for p, a in zip(present, added) if a)
-    assert validate_completion(g, c, CoverSpec(k, 1)) == slow_validate(g, c, k, 1)
-    assert validate_pairs(n, sorted(g.edges), c, CoverSpec(k, 1)) == slow_validate(g, c, k, 1)
+    want = slow_validate(g, c, k, l)
+    assert validate_completion(g, c, CoverSpec(k, l)) == want
+    assert validate_pairs(n, sorted(g.edges), c, CoverSpec(k, l)) == want
 
 
 def _outcome(check):
