@@ -246,9 +246,7 @@ class ChordalityResult:
     certificate: int | None
 
 
-def _count_cliques(
-    nbr: Sequence[set[int]] | Mapping[int, set[int]], cands: set[int], need: int, cap: int
-) -> int:
+def _count_cliques(nbr: Mapping[int, set[int]], cands: set[int], need: int, cap: int) -> int:
     """Number of need-cliques among cands, counted up to cap.
 
     nbr[w] is the neighbour set of each candidate w.  The candidates of an
@@ -260,13 +258,6 @@ def _count_cliques(
         return min(len(cands), cap)
     rest = set(cands)
     count = 0
-    if need == 2:
-        for x in cands:
-            rest.discard(x)
-            count += len(rest & nbr[x])
-            if count >= cap:
-                return cap
-        return count
     for x in cands:
         if len(rest) < need:
             break
@@ -280,7 +271,7 @@ def _count_cliques(
 
 
 def _find_clique(
-    nbr: Sequence[set[int]] | Mapping[int, set[int]], cands: set[int], need: int
+    nbr: Mapping[int, set[int]], cands: set[int], need: int
 ) -> tuple[int, ...] | None:
     """need pairwise adjacent vertices of cands, or None when there are none.
 
@@ -309,35 +300,29 @@ def _find_clique(
     return None
 
 
-def _unsaturated(
-    nbr: Sequence[set[int]] | Mapping[int, set[int]], spec: CoverSpec, n: int
-) -> list[Edge]:
+def _unsaturated(nbr: Mapping[int, set[int]], spec: CoverSpec, n: int) -> list[Edge]:
     """The edges lying in fewer than spec.l cliques of order spec.k, sorted.
 
-    nbr[v] is v's neighbour set in the graph on 0..n-1; a dict need only hold
-    the vertices with a neighbour.  The edges are scanned from nbr by lower
-    end.  At l = 1 and k >= 5, a clique found for one edge covers all its
-    pairs, so the lower ends are taken in ascending order, and the pairs of
-    each clique found that the scan has yet to reach are marked and skipped
-    when reached: as the integers u * n + v, or, at the current lower end, as
-    its neighbour.  A mark is dropped when its edge is reached.
+    nbr maps each vertex of the graph on 0..n-1 that has a neighbour to its
+    neighbour set, and the edges are scanned from it by lower end.  At l = 1
+    and k >= 5, a clique found for one edge covers all its pairs, so the lower
+    ends are taken in ascending order, and the pairs of each clique found that
+    the scan has yet to reach are marked and skipped when reached: as the
+    integers u * n + v, or, at the current lower end, as its neighbour.  A
+    mark is dropped when its edge is reached.  At l >= 2 each edge's cliques
+    are counted, up to l.
     """
     need, cap = spec.k - 2, spec.l
-    is_dict = isinstance(nbr, dict)
-    rows = nbr.items() if is_dict else enumerate(nbr)
     out: list[Edge] = []
-    if need == cap == 1:  # no common neighbour, without building the intersection
-        for u, nu in rows:
+    # k = 3, l = 1: no common neighbour; the marks scan takes about twice as long
+    if need == cap == 1:
+        for u, nu in nbr.items():
             for v in nu:
                 if v > u and nu.isdisjoint(nbr[v]):
                     out.append((u, v))
-    elif need == 1:
-        for u, nu in rows:
-            for v in nu:
-                if v > u and len(nu & nbr[v]) < cap:
-                    out.append((u, v))
-    elif need == 2 and cap == 1:  # no edge among the common neighbours
-        for u, nu in rows:
+    # k = 4, l = 1: no edge among the common neighbours; marks would raise the peak
+    elif need == 2 and cap == 1:
+        for u, nu in nbr.items():
             for v in nu:
                 if v < u:
                     continue
@@ -350,7 +335,7 @@ def _unsaturated(
     elif cap == 1:
         marks: set[int] = set()  # pairs of found cliques at higher lower ends
         here: set[int] = set()  # the current lower end's neighbours in them
-        for u in sorted(nbr) if is_dict else range(n):
+        for u in sorted(nbr):
             here.clear()
             nu = nbr[u]
             for v in nu:
@@ -371,7 +356,7 @@ def _unsaturated(
                     elif a == u:
                         here.add(b)
     else:
-        for u, nu in rows:
+        for u, nu in nbr.items():
             for v in nu:
                 if v < u:
                     continue
@@ -384,7 +369,7 @@ def _unsaturated(
 
 def unsaturated_edges(g: Graph, spec: CoverSpec) -> list[Edge]:
     """Edges lying in fewer than spec.l cliques of order spec.k, in lexicographic order."""
-    return _unsaturated([set(a) for a in g.adj], spec, g.n)
+    return _unsaturated(dict(enumerate(map(set, g.adj))), spec, g.n)
 
 
 def apply_completion(g: Graph, c: CompletionSet) -> Graph:
@@ -437,7 +422,8 @@ def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverChe
 
     g's edges were checked when g was built, so only c's additions are.
     """
-    nbr = [set(a) for a in g.adj]
+    # copying the rows beats validate_pairs(g.n, g.edge_list(), c, spec) in time and peak
+    nbr = dict(enumerate(map(set, g.adj)))
     for e in c:
         _check_addition(e, g.n, g.has_edge(*e))
         u, v = e
@@ -446,9 +432,7 @@ def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverChe
     return _cover_check(g.n, nbr, spec)
 
 
-def _cover_check(
-    n: int, nbr: Sequence[set[int]] | Mapping[int, set[int]], spec: CoverSpec
-) -> CoverCheck:
+def _cover_check(n: int, nbr: Mapping[int, set[int]], spec: CoverSpec) -> CoverCheck:
     """The verdict on the graph on 0..n-1 whose neighbour sets are nbr.
 
     Every edge is scanned once against the sets.  With n > 1, a vertex that

@@ -145,18 +145,13 @@ class _Search:
             total += self._cliques_in(adj, rest & adj[w], need - 1, cap - total)
         return total
 
-    def _saturated(self, adj: list[int], u: int, v: int) -> bool:
-        common = adj[u] & adj[v]
-        if self.k == 3:
-            return common.bit_count() >= self.l
-        return self._cliques_in(adj, common, self.k - 2, self.l) >= self.l
-
     def _first_unsaturated(self, adj: list[int]) -> Edge | None:
+        need, cap = self.k - 2, self.l
         for u in range(self.n):
             rest = adj[u] >> (u + 1)
             v = u + 1
             while rest:
-                if rest & 1 and not self._saturated(adj, u, v):
+                if rest & 1 and self._cliques_in(adj, adj[u] & adj[v], need, cap) < cap:
                     return (u, v)
                 rest >>= 1
                 v += 1

@@ -291,7 +291,7 @@ class _AnchorPurchase:
         if not validate_completion(rg.graph, c, CoverSpec(rg.k, 1)).ok:
             raise InputError("input is not a valid completion of the reduction graph")
         self.rg = rg
-        self.nbr = [set(a) for a in rg.graph.adj]
+        self.nbr = dict(enumerate(map(set, rg.graph.adj)))
         self.out: list[Edge] = []
 
     def buy(self, j: int) -> None:

@@ -48,7 +48,7 @@ def _random_graph(n: int, extra: int, seed: int) -> Graph:
 
 def _cliques_on_edge(g: Graph, e: tuple[int, int], k: int, cap: int) -> int:
     """k-cliques of g holding edge e, counted up to cap the way the package counts them."""
-    nbr = [set(a) for a in g.adj]
+    nbr = dict(enumerate(map(set, g.adj)))
     return _count_cliques(nbr, nbr[e[0]] & nbr[e[1]], k - 2, cap)
 
 

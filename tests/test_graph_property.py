@@ -34,7 +34,7 @@ def test_searches_match_their_references_property(n, data):
 def test_count_cliques_matches_combinations_property(n, need, cap, data):
     pairs = list(combinations(range(n), 2))
     present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    nbr = [set() for _ in range(n)]
+    nbr = {v: set() for v in range(n)}
     for (u, v), keep in zip(pairs, present):
         if keep:
             nbr[u].add(v)
@@ -56,7 +56,7 @@ def test_find_clique_agrees_with_the_counter_property(n, need, quarters, data):
     # five candidates occur as well as none
     pairs = list(combinations(range(n), 2))
     present = data.draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
-    nbr = [set() for _ in range(n)]
+    nbr = {v: set() for v in range(n)}
     for (u, v), draw in zip(pairs, present):
         if draw < quarters:
             nbr[u].add(v)
