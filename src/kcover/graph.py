@@ -262,11 +262,9 @@ def _count_cliques(nbr: Mapping[int, set[int]], cands: set[int], need: int, cap:
         if len(rest) < need:
             break
         rest.discard(x)
-        ext = rest & nbr[x]
-        if len(ext) >= need - 1:
-            count += _count_cliques(nbr, ext, need - 1, cap - count)
-            if count >= cap:
-                return cap
+        count += _count_cliques(nbr, rest & nbr[x], need - 1, cap - count)
+        if count >= cap:
+            return cap
     return count
 
 
@@ -292,11 +290,9 @@ def _find_clique(
         if len(rest) < need:
             break
         rest.discard(x)
-        ext = rest & nbr[x]
-        if len(ext) >= need - 1:
-            found = _find_clique(nbr, ext, need - 1)
-            if found is not None:
-                return (x, *found)
+        found = _find_clique(nbr, rest & nbr[x], need - 1)
+        if found is not None:
+            return (x, *found)
     return None
 
 

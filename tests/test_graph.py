@@ -18,6 +18,7 @@ from kcover import (
     unsaturated_edges,
     validate_completion,
 )
+from kcover import graph
 from kcover.graph import _count_cliques
 
 from helpers import (
@@ -134,9 +135,21 @@ def test_count_k_cliques_on_edge_examples():
     assert _cliques_on_edge(complete_graph(5), (0, 1), 4, cap=10) == 3
 
 
-def test_count_k_cliques_respects_cap():
+def test_count_k_cliques_respects_cap(monkeypatch):
     # K6 has C(4, 1) = 4 triangles per edge but the count stops at the cap.
     assert _cliques_on_edge(complete_graph(6), (0, 1), 3, cap=2) == 2
+    # counted work: an edge of K12 lies in C(10, 4) = 210 6-cliques, and the
+    # count up to 1 stops at the first, one call per level below the top
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _count_cliques(*args)
+
+    monkeypatch.setattr(graph, "_count_cliques", counting)
+    assert _cliques_on_edge(complete_graph(12), (0, 1), 6, cap=1) == 1
+    assert calls == 3
 
 
 def test_triangle_count_matches_triangle_vertices():

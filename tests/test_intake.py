@@ -29,6 +29,7 @@ GRAPH_CASES = [
     ("self-loop-then-out-of-range", 3, [(1, 1), (0, 3)], "self-loop (1,1) is not allowed"),
     ("out-of-range-then-self-loop", 3, [(3, 0), (1, 1)], "edge (0, 3) out of range for n=3"),
     ("repeated-out-of-range", 3, [(0, 5), (5, 0)], "edge (0, 5) out of range for n=3"),
+    ("no-vertices", 0, [(0, 1)], "edge (0, 1) out of range for n=0"),
 ]
 
 # (id, pairs, message); a completion has no vertex count to range-check against

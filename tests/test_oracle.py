@@ -85,6 +85,27 @@ def test_oracle_budget_validation():
         OracleBudget(max_additions=0)
     with pytest.raises(InputError):
         OracleBudget(max_nodes=0)
+    # the defaults the README states
+    assert OracleBudget() == OracleBudget(max_additions=8, max_nodes=10_000_000)
+
+
+def test_clique_count_stops_at_the_cap(monkeypatch):
+    # counted work: an edge of K12 lies in C(10, 4) = 210 6-cliques, and the
+    # count up to 1 stops at the first, one call per level
+    search = oracle._Search(complete_graph(12), CoverSpec(6, 1), 1)
+    count = search._cliques_in
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return count(*args)
+
+    monkeypatch.setattr(search, "_cliques_in", counting)
+    adj = search.base
+    assert search._cliques_in(adj, adj[0] & adj[1], 4, 1) == 1
+    assert calls == 4
+    assert search._cliques_in(adj, adj[0] & adj[1], 4, 300) == 210
 
 
 def test_oracle_reports_inconclusive_on_exhausted_additions():
