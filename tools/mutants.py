@@ -1,9 +1,9 @@
-"""Sample mutants of kcover modules and report which ones the tests kill.
+"""Sample mutants of a kcover module and report which ones the tests kill.
 
     python tools/mutants.py src/kcover/graph.py --count 30 --seed 1 \
         -- tests/test_graph.py tests/test_validate.py
 
-Each mutant changes one site of one module: it swaps a comparison
+Each mutant changes one site of the module: it swaps a comparison
 (< and <=, > and >=, == and !=, in and not in, is and is not), swaps `and`
 with `or`, or adds 1 to an integer constant.  The sites are listed with the
 stdlib ast module, and --count of them are drawn with --seed (all of them
@@ -16,8 +16,9 @@ the copy, one process at a time, stopping at its first failure or after
 --timeout seconds.  A failure or a timeout kills the mutant.  The copy's
 unmutated module, written back the same way, must pass first.
 
-It prints one line per mutant, then each module's kill rate and its
-survivors.  The exit status is 0 whatever the kill rate.
+It prints one line per mutant, then the module's kill rate and its
+survivors.  The exit status is 0 whatever the kill rate, and 1 when the
+selection fails without a mutant.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ class Site:
         return f"{self.line}:{self.column} {self.function}: {self.change}"
 
 
-def _is_int(node: ast.AST) -> bool:
-    return isinstance(node, ast.Constant) and type(node.value) is int
-
-
 def _walk(tree: ast.Module):
     """(node, operator position or None, enclosing function) for every site,
     in a fixed order."""
@@ -75,7 +72,9 @@ def _walk(tree: ast.Module):
             for i, op in enumerate(node.ops):
                 if type(op) in SWAPS:
                     yield node, i, function
-        elif isinstance(node, ast.BoolOp) or _is_int(node):
+        elif isinstance(node, ast.BoolOp) or (
+            isinstance(node, ast.Constant) and type(node.value) is int
+        ):
             yield node, None, function
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
@@ -137,8 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     split = argv.index("--")
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("modules", nargs="+", type=Path, help="modules under src/")
-    parser.add_argument("--count", type=int, default=30, help="mutants per module; 0 for all")
+    parser.add_argument("module", type=Path, help="a module under src/")
+    parser.add_argument("--count", type=int, default=30, help="mutants to draw; 0 for all")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
     parser.add_argument("--function", action="append", default=[],
@@ -147,40 +146,38 @@ def main(argv: list[str] | None = None) -> int:
     selection = argv[split + 1:]
     if not selection:
         parser.error("the pytest selection after -- is empty")
-    if any(not m.resolve().is_relative_to(ROOT / "src") for m in args.modules):
-        parser.error("every module must lie under src/")
+    if not args.module.resolve().is_relative_to(ROOT / "src"):
+        parser.error("the module must lie under src/")
+    relative = args.module.resolve().relative_to(ROOT)
+    source = (ROOT / relative).read_text()
+    sites = list_sites(ast.parse(source))
+    if args.function:
+        sites = [s for s in sites if s.function in args.function]
+    if args.count:
+        sites = random.Random(args.seed).sample(sites, min(args.count, len(sites)))
+        sites.sort(key=lambda s: s.index)
 
+    survivors = []
     with tempfile.TemporaryDirectory(prefix="kcover-mutants-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        for module in args.modules:
-            relative = module.resolve().relative_to(ROOT)
-            target = Path(tmp) / relative
-            source = (ROOT / relative).read_text()
-            sites = list_sites(ast.parse(source))
-            if args.function:
-                sites = [s for s in sites if s.function in args.function]
-            if args.count:
-                sites = random.Random(args.seed).sample(sites, min(args.count, len(sites)))
-                sites.sort(key=lambda s: s.index)
-            target.write_text(mutate(source, None))
-            if run_tests(src, selection, args.timeout) != "passed":
-                print(f"{relative}: the selection fails without a mutant", file=sys.stderr)
-                return 1
-            survivors = []
-            for site in sites:
-                target.write_text(mutate(source, site.index))
-                outcome = run_tests(src, selection, args.timeout)
-                verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
-                print(f"{verdict:17} {relative}:{site}", flush=True)
-                if outcome == "passed":
-                    survivors.append(site)
-            target.write_text(source)
-            killed = len(sites) - len(survivors)
-            rate = f"{100 * killed / len(sites):.0f}%" if sites else "n/a"
-            print(f"{relative}: {killed} of {len(sites)} mutants killed ({rate})")
-            for site in survivors:
-                print(f"  survivor {relative}:{site}")
+        target = Path(tmp) / relative
+        target.write_text(mutate(source, None))
+        if run_tests(src, selection, args.timeout) != "passed":
+            print(f"{relative}: the selection fails without a mutant", file=sys.stderr)
+            return 1
+        for site in sites:
+            target.write_text(mutate(source, site.index))
+            outcome = run_tests(src, selection, args.timeout)
+            verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
+            print(f"{verdict:17} {relative}:{site}", flush=True)
+            if outcome == "passed":
+                survivors.append(site)
+    killed = len(sites) - len(survivors)
+    rate = f"{100 * killed / len(sites):.0f}%" if sites else "n/a"
+    print(f"{relative}: {killed} of {len(sites)} mutants killed ({rate})")
+    for site in survivors:
+        print(f"  survivor {relative}:{site}")
     return 0
 
 
