@@ -280,11 +280,6 @@ def _find_clique(
         for x in cands:
             return (x,)
         return None
-    if need == 2:
-        for x in cands:
-            if not cands.isdisjoint(nbr[x]):
-                return x, next(iter(cands & nbr[x]))
-        return None
     rest = set(cands)
     for x in cands:
         if len(rest) < need:
@@ -342,7 +337,7 @@ def _unsaturated(nbr: Mapping[int, set[int]], spec: CoverSpec, n: int) -> list[E
                     marks.remove(key)
                     continue
                 common = nu & nbr[v]
-                found = _find_clique(nbr, common, need) if len(common) >= need else None
+                found = _find_clique(nbr, common, need)
                 if found is None:
                     out.append((u, v))
                     continue
@@ -357,7 +352,7 @@ def _unsaturated(nbr: Mapping[int, set[int]], spec: CoverSpec, n: int) -> list[E
                 if v < u:
                     continue
                 common = nu & nbr[v]
-                if len(common) < need or _count_cliques(nbr, common, need, cap) < cap:
+                if _count_cliques(nbr, common, need, cap) < cap:
                     out.append((u, v))
     out.sort()
     return out

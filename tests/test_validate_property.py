@@ -25,7 +25,7 @@ def test_validate_completion_matches_slow_checker_property(n, k, l, data):
     assert validate_completion(g, c, CoverSpec(k, l)) == slow_validate(g, c, k, l)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(n=st.integers(4, 12), k=st.integers(3, 7), l=st.integers(1, 3),
        density=st.integers(50, 95), seed=st.integers(0, 2**32 - 1))
 def test_validate_matches_slow_checker_on_dense_graphs_property(n, k, l, density, seed):
