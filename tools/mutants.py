@@ -1,19 +1,19 @@
 """Sample mutants of a kcover module and report which ones the tests kill.
 
-    python tools/mutants.py src/kcover/graph.py --count 30 --seed 1 \
+    python tools/mutants.py src/kcover/graph.py --count 30 \
         -- tests/test_graph.py tests/test_validate.py
 
 Each mutant changes one site of the module: it swaps a comparison
 (< and <=, > and >=, == and !=, in and not in, is and is not), swaps `and`
 with `or`, or adds 1 to an integer constant.  The sites are listed with the
-stdlib ast module, and --count of them are drawn with --seed (all of them
-with --count 0).  --function keeps only the sites inside the named
-functions or methods.
+stdlib ast module, and --count of them are drawn with the fixed SEED (all
+of them with --count 0), so a rerun draws the same mutants.  --function
+keeps only the sites inside the named functions or methods.
 
 src/ is copied to a temporary directory, and each mutant is written to the
 copy, never under src/.  The pytest selection after `--` then runs against
 the copy, one process at a time, stopping at its first failure or after
---timeout seconds.  A failure or a timeout kills the mutant.  The copy's
+TIMEOUT seconds.  A failure or a timeout kills the mutant.  The copy's
 unmutated module, written back the same way, must pass first.
 
 It prints one line per mutant, then the module's kill rate and its
@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+TIMEOUT = 300.0  # seconds per test run; a mutant that loops forever is killed
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -111,7 +113,7 @@ def mutate(source: str, index: int | None) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def run_tests(src: Path, selection: list[str], timeout: float) -> str:
+def run_tests(src: Path, selection: list[str]) -> str:
     """'passed', 'failed' or 'timeout' for the selection run against src."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
@@ -121,7 +123,7 @@ def run_tests(src: Path, selection: list[str], timeout: float) -> str:
     ]
     try:
         done = subprocess.run(
-            cmd, cwd=ROOT, env=env, timeout=timeout,
+            cmd, cwd=ROOT, env=env, timeout=TIMEOUT,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -138,8 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", type=Path, help="a module under src/")
     parser.add_argument("--count", type=int, default=30, help="mutants to draw; 0 for all")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
     parser.add_argument("--function", action="append", default=[],
                         help="sample only sites inside this function (repeatable)")
     args = parser.parse_args(argv[:split])
@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.function:
         sites = [s for s in sites if s.function in args.function]
     if args.count:
-        sites = random.Random(args.seed).sample(sites, min(args.count, len(sites)))
+        sites = random.Random(SEED).sample(sites, min(args.count, len(sites)))
         sites.sort(key=lambda s: s.index)
 
     survivors = []
@@ -163,12 +163,12 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         target = Path(tmp) / relative
         target.write_text(mutate(source, None))
-        if run_tests(src, selection, args.timeout) != "passed":
+        if run_tests(src, selection) != "passed":
             print(f"{relative}: the selection fails without a mutant", file=sys.stderr)
             return 1
         for site in sites:
             target.write_text(mutate(source, site.index))
-            outcome = run_tests(src, selection, args.timeout)
+            outcome = run_tests(src, selection)
             verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
             print(f"{verdict:17} {relative}:{site}", flush=True)
             if outcome == "passed":
