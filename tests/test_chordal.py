@@ -19,7 +19,8 @@ from kcover import (
     validate_completion,
     worst_case_spider,
 )
-from kcover.io import format_completion
+from kcover.cli import main
+from kcover.io import format_completion, write_graph
 
 from helpers import complete_graph, cycle_graph, path_graph, permuted, rooted
 
@@ -35,6 +36,22 @@ GOLDEN_31_SHA256 = "001b87c5acd7de9f1fae89d492c4d410eadedcfbc952d21c3f54cce28bcd
 # neighbour, so only relabelled graphs hold lone bridges whose lower endpoint
 # is the leaf (several hundred in this corpus).
 GOLDEN_PERMUTED_CHORDAL_SHA256 = "34434f2675a83f95a4c7f665ffa9915f3d24aa07a7e2dcf90e38b21422caa51b"
+
+# sha256 of optimal_chordal_31's completions, as text, on the graphs listed by
+# _large_chordal_graphs below: wider and larger than the corpora above.
+GOLDEN_LARGE_CHORDAL_SHA256 = "39b6a287181eb7fe118b9610b21ba4720a0995f7ba5e292e1284bd781c804bf0"
+
+C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+# each refused input and its message; the size check comes first, then the
+# connectivity check (the C4 plus an edge is not chordal either), then the
+# chordality check, which names its certificate vertex
+CHORDAL_REFUSALS = [
+    (Graph(2, [(0, 1)]), "decomposition needs at least 3 vertices, got 2"),
+    (Graph(6, C4 + [(4, 5)]), "decomposition needs a connected graph"),
+    (Graph(4, C4), "graph is not chordal (later neighbors of vertex 3 are not a clique)"),
+    (Graph(5, C5), "graph is not chordal (later neighbors of vertex 4 are not a clique)"),
+]
 
 
 def test_decompose_whole_tree():
@@ -182,3 +199,33 @@ def test_permuted_chordal_golden_hash():
     for text in _permuted_chordal_outputs():
         h.update(text.encode())
     assert h.hexdigest() == GOLDEN_PERMUTED_CHORDAL_SHA256
+
+
+@pytest.mark.parametrize("g, message", CHORDAL_REFUSALS)
+def test_optimal_chordal_refusal_messages_are_pinned(g, message):
+    with pytest.raises(InputError) as info:
+        optimal_chordal_31(g)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("g, message", CHORDAL_REFUSALS)
+def test_solve_chordal_opt_refusal_messages_are_pinned(tmp_path, capsys, monkeypatch, g, message):
+    monkeypatch.delenv("COVER_LOG", raising=False)
+    gpath, out = tmp_path / "g.txt", tmp_path / "c.txt"
+    write_graph(gpath, g)
+    assert main(["solve", "--alg", "chordal-opt", "--in", str(gpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _large_chordal_graphs():
+    for width in (2, 3, 4):
+        for seed in (1, 2):
+            yield gen_random_chordal(20_000, width, seed)
+
+
+def test_large_chordal_golden_hash():
+    h = hashlib.sha256()
+    for g in _large_chordal_graphs():
+        h.update(format_completion(optimal_chordal_31(g)).encode())
+    assert h.hexdigest() == GOLDEN_LARGE_CHORDAL_SHA256
