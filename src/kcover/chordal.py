@@ -2,8 +2,8 @@
 
 In a chordal graph the edges missing a triangle are exactly the bridges, and
 the bridges form vertex-disjoint trees.  Completing each of those trees
-independently (with the tree solver, or a single chord for a lone bridge) is
-optimal for the whole graph.
+independently (with the tree solver's path partition, or a single chord for a
+lone bridge) is optimal for the whole graph.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import (
-    CompletionSet, Edge, Graph, check_chordal, components, find_bridges, neighbour_sets, norm_edge,
-)
-from .trees import RootedTree, bridge_chord, optimal_tree_31
+from .graph import CompletionSet, Edge, Graph, cardinality_search, find_bridges
+from .trees import _p3_paths, _path_chords
 
 
 @dataclass(frozen=True)
@@ -25,47 +23,86 @@ class ChordalDecomposition:
     tree_edges: tuple[tuple[Edge, ...], ...]
 
 
+def _root_forest(n: int, edges: list[Edge]) -> tuple[list, list[int], list[list[int]]]:
+    """Root each tree of the forest on 0..n-1 whose sorted edges are edges at
+    its lowest id, in one breadth-first pass.
+
+    Returns the forest's ascending neighbour rows, held only for the vertices
+    on an edge (the others' rows are empty), each such vertex's parent (a root
+    is its own), and the trees by lowest id, each as its vertices deepest
+    first, ties to the lowest id.
+    """
+    rows: list = [()] * n
+    for u, v in edges:  # in sorted order each row fills in ascending order
+        if rows[u]:
+            rows[u].append(v)
+        else:
+            rows[u] = [v]
+        if rows[v]:
+            rows[v].append(u)
+        else:
+            rows[v] = [u]
+    parent = [-1] * n
+    trees = []
+    for root, _ in edges:
+        if parent[root] >= 0:
+            continue
+        parent[root] = root
+        levels = [[root]]
+        for level in levels:
+            below = []
+            for v in level:
+                up = parent[v]
+                for w in rows[v]:
+                    if w != up:
+                        parent[w] = v
+                        below.append(w)
+            if below:
+                levels.append(below)
+        order: list[int] = []
+        for level in reversed(levels):
+            level.sort()
+            order += level
+        trees.append(order)
+    return rows, parent, trees
+
+
 def decompose_trees(g: Graph) -> ChordalDecomposition:
     """Group the bridges of g into maximal trees."""
     if g.n < 3:
         raise InputError(f"decomposition needs at least 3 vertices, got {g.n}")
     if not g.is_connected():
         raise InputError("decomposition needs a connected graph")
-    bridges = find_bridges(g)
-    adj = neighbour_sets(bridges)
-    trees = tuple(tuple(comp) for comp in components(adj, sorted(adj)))
-    tree_edges = tuple(
-        tuple(sorted((v, w) for v in comp for w in adj[v] if v < w)) for comp in trees
+    _, parent, trees = _root_forest(g.n, find_bridges(g))
+    return ChordalDecomposition(
+        trees=tuple(tuple(sorted(tree)) for tree in trees),
+        tree_edges=tuple(
+            tuple(sorted((min(v, parent[v]), max(v, parent[v])) for v in tree if parent[v] != v))
+            for tree in trees
+        ),
     )
-    return ChordalDecomposition(trees=trees, tree_edges=tree_edges)
 
 
 def optimal_chordal_31(g: Graph) -> CompletionSet:
     """Minimum completion giving every edge of a connected chordal graph a triangle.
 
-    Solves each bridge-tree independently: the tree solver for trees with at
-    least three vertices, and for a lone bridge one chord from an endpoint to
-    another neighbour of the other.
+    One maximum cardinality search refuses a disconnected or non-chordal
+    graph and finds the bridges.  The bridge trees are then completed as the
+    tree solver completes a tree, all in one peel: a chord per two-edge path
+    of each tree's partition, and for a left-over edge one chord from an
+    endpoint to another neighbour of the other, inside the tree or, for a
+    lone bridge, anywhere in g.
     """
-    dec = decompose_trees(g)
-    chordality = check_chordal(g)
-    if not chordality.is_chordal:
+    if g.n < 3:
+        raise InputError(f"decomposition needs at least 3 vertices, got {g.n}")
+    search = cardinality_search(g)
+    if search.restarts > 1:
+        raise InputError("decomposition needs a connected graph")
+    if search.certificate is not None:
         raise InputError(
             f"graph is not chordal (later neighbors of vertex "
-            f"{chordality.certificate} are not a clique)"
+            f"{search.certificate} are not a clique)"
         )
-    additions: list[Edge] = []
-    added: set[Edge] = set()
-    for verts, tedges in zip(dec.trees, dec.tree_edges):
-        if len(verts) >= 3:
-            back = {old: new for new, old in enumerate(verts)}
-            sub = Graph(len(verts), [(back[u], back[v]) for (u, v) in tedges])
-            for a, b in optimal_tree_31(RootedTree.from_graph(sub)):
-                e = norm_edge(verts[a], verts[b])
-                additions.append(e)
-                added.add(e)
-        else:
-            chord = bridge_chord(g, *verts, added)
-            additions.append(chord)
-            added.add(chord)
-    return CompletionSet(additions)
+    rows, parent, trees = _root_forest(g.n, search.no_triangle)
+    del search
+    return CompletionSet(_path_chords(rows, _p3_paths(rows, parent, trees), g.adj))

@@ -470,8 +470,25 @@ def find_bridges(g: Graph) -> list[Edge]:
     return sorted(bridges)
 
 
-def check_chordal(g: Graph) -> ChordalityResult:
-    """Chordality test by one maximum cardinality search (MCS).
+@dataclass(frozen=True)
+class CardinalitySearch:
+    """What one maximum cardinality search of a graph saw (see cardinality_search).
+
+    visit is the visit order, certificate a vertex whose later neighbours are
+    not a clique (None if there is none), restarts the number of vertices
+    numbered with no numbered neighbour, which is the component count, and
+    no_triangle the edges the search found in no triangle, sorted.
+    """
+
+    visit: list[int]
+    certificate: int | None
+    restarts: int
+    no_triangle: list[Edge]
+
+
+def cardinality_search(g: Graph) -> CardinalitySearch:
+    """One maximum cardinality search (MCS) of g, with the chordality test and
+    the edges in no triangle found on the way.
 
     MCS numbers next the unnumbered vertex with the most numbered neighbours,
     the smallest id among ties; the elimination order is the visit order
@@ -480,15 +497,25 @@ def check_chordal(g: Graph) -> ChordalityResult:
     the one numbered last.  The certificate, on failure, is the first vertex
     in elimination order that fails this test.  Its later neighbours are not
     a clique, though an earlier vertex's may not be one either.
+
+    An edge (x, v) is a candidate when x is v's only numbered neighbour as v
+    is numbered; a vertex numbered later with both x and v among its numbered
+    neighbours strikes it.  What is left lies in no triangle, on any graph.
+    On a chordal graph every vertex's numbered neighbours are a clique, so an
+    edge that is never a candidate lies in a triangle and what is left is
+    exactly the bridges (Tarjan and Yannakakis, SIAM J. Comput. 13(3), 1984).
     """
     n, adj = g.n, g.adj
     weight = [0] * n
     rank = [-1] * n  # visit position, -1 until numbered
+    cand = [-1] * n  # x while (x, v) is a candidate, v numbered after x
+    lone: list[int] = []  # each v numbered with one numbered neighbour
     # buckets[w]: heap of the ids pushed at weight w; no weight exceeds a degree
     buckets = [list(range(n))] + [[] for _ in range(max(map(len, adj), default=0))]
     top = 0
     visit: list[int] = []
     certificate = None
+    restarts = 0
     for v_rank in range(n):
         while True:
             while not buckets[top]:
@@ -498,8 +525,9 @@ def check_chordal(g: Graph) -> ChordalityResult:
                 break
         rank[v] = v_rank
         visit.append(v)
+        row = adj[v]
         later = []
-        for w in adj[v]:
+        for w in row:
             if rank[w] >= 0:
                 later.append(w)
                 continue
@@ -509,8 +537,34 @@ def check_chordal(g: Graph) -> ChordalityResult:
                 top = wt
         if len(later) > 1:
             u = max(later, key=rank.__getitem__)
-            if any(w != u and not _in_row(adj[u], w) for w in later):
-                certificate = v
-    if certificate is not None:
-        return ChordalityResult(False, None, certificate)
-    return ChordalityResult(True, tuple(visit[::-1]), None)
+            nearest = adj[u]
+            for w in later:
+                if w != u:
+                    i = bisect_left(nearest, w)
+                    if i == len(nearest) or nearest[i] != w:
+                        certificate = v
+                        break
+            for b in later:
+                x = cand[b]
+                if x >= 0:
+                    i = bisect_left(row, x)
+                    if i < len(row) and row[i] == x:
+                        cand[b] = -1
+        elif later:
+            cand[v] = later[0]
+            lone.append(v)
+        else:
+            restarts += 1
+    no_triangle = sorted(
+        (x, v) if x < v else (v, x) for v in lone for x in (cand[v],) if x >= 0
+    )
+    return CardinalitySearch(visit, certificate, restarts, no_triangle)
+
+
+def check_chordal(g: Graph) -> ChordalityResult:
+    """Chordality test by one maximum cardinality search (see
+    cardinality_search): the perfect elimination order, or a certificate."""
+    search = cardinality_search(g)
+    if search.certificate is not None:
+        return ChordalityResult(False, None, search.certificate)
+    return ChordalityResult(True, tuple(search.visit[::-1]), None)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .graph import CompletionSet, Edge, Graph, components, neighbour_sets, norm_edge
+from .graph import CompletionSet, Edge, Graph, _in_row, components, neighbour_sets, norm_edge
 
 
 @dataclass(frozen=True)
@@ -86,40 +86,71 @@ def _add_clique(
             additions.append(e)
 
 
-def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
-    """Partition the tree's edges into paths on three vertices.
+def _p3_paths(
+    rows: Sequence[Sequence[int]], parent: Sequence[int], trees: Iterable[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Partition the edges of each tree of a rooted forest into paths on three
+    vertices, a tree at a time.
 
-    Repeatedly detaches a two-edge group around the deepest remaining leaf;
-    when n-1 is odd a final single-edge group is left over.  Returns
+    rows[v] is v's ascending neighbour row in the forest and parent[v] its
+    parent, a root being its own; v's children are its row minus its parent.
+    Each of trees lists one tree's vertices deepest first, ties to the lowest
+    id.  Repeatedly detaches a two-edge path around the deepest remaining
+    leaf, yielded as (a, b, c) for the edges a-b and b-c; when a tree's edge
+    count is odd its last edge is left over, yielded as (parent, child).
+    """
+    count = [0] * len(rows)  # live children, -1 once gone
+    passed = [0] * len(rows)  # entries of rows[v] passed over for a live child
+    for order in trees:
+        for v in order:
+            count[v] = len(rows[v]) - (parent[v] != v)
+        live = len(order)
+        for v in order:
+            if live < 2:
+                break
+            if count[v] < 0:
+                continue
+            u = parent[v]
+            # the deepest live vertex is a leaf of the residual tree
+            if live == 2:
+                yield u, v
+                break
+            # v leaves with a sibling if it has one, else with its parent
+            if count[u] >= 2:
+                row, i, up = rows[u], passed[u], parent[u]
+                while True:  # the smallest live child of u other than v
+                    mate = row[i]
+                    i += 1
+                    if mate != up and mate != v and count[mate] >= 0:
+                        break
+                passed[u] = i
+                far = mate
+            else:
+                mate, far = u, parent[u]
+            _leave(parent, count, (v, mate))
+            yield v, u, far
+            live -= 2
+
+
+def _peel_order(t: RootedTree) -> list[int]:
+    """The tree's vertices deepest first, ties to the lowest id (the sort is stable)."""
+    return sorted(range(t.base.n), key=t.depth.__getitem__, reverse=True)
+
+
+def p3_partition(t: RootedTree) -> list[tuple[Edge, ...]]:
+    """Partition the tree's edges into paths on three vertices (see _p3_paths).
+
+    When n-1 is odd a final single-edge group is left over.  Returns
     ceil((n-1)/2) groups.
     """
     g = t.base
-    n = g.n
-    if n < 3:
+    if g.n < 3:
         raise InputError("edge partition needs at least 3 vertices")
-    parent = t.parent
-    # consume-only heaps of each vertex's children: ascending lists already are
-    child_heap = t.children()
-    count = [len(h) for h in child_heap]
-    live = n
-    groups: list[tuple[Edge, ...]] = []
-    # deepest first, ties to the lowest id (the sort is stable)
-    for v in sorted(range(n), key=t.depth.__getitem__, reverse=True):
-        if live < 2:
-            break
-        if count[v] < 0:
-            continue
-        u = parent[v]
-        # the deepest live vertex is a leaf of the residual tree
-        if live == 2:
-            groups.append((norm_edge(u, v),))
-            break
-        # v leaves with a sibling if it has one, else with its parent
-        mate = _pop_alive_child(child_heap[u], count, skip=v) if count[u] >= 2 else u
-        _leave(parent, count, (v, mate))
-        groups.append(tuple(sorted((norm_edge(u, v), norm_edge(parent[mate], mate)))))
-        live -= 2
-    return groups
+    return [
+        tuple(sorted((norm_edge(p[0], p[1]), norm_edge(p[1], p[2]))))
+        if len(p) == 3 else (norm_edge(*p),)
+        for p in _p3_paths(g.adj, t.parent, [_peel_order(t)])
+    ]
 
 
 def optimal_tree_31(t: RootedTree) -> CompletionSet:
@@ -132,33 +163,51 @@ def optimal_tree_31(t: RootedTree) -> CompletionSet:
     g = t.base
     if g.n < 3:
         raise InputError("triangle completion needs at least 3 vertices")
+    return CompletionSet(_path_chords(g.adj, _p3_paths(g.adj, t.parent, [_peel_order(t)])))
+
+
+def _path_chords(
+    rows: Sequence[Sequence[int]],
+    paths: Iterable[tuple[int, ...]],
+    lone_rows: Sequence[Sequence[int]] | None = None,
+) -> list[Edge]:
+    """One chord per path of _p3_paths over the forest whose rows are rows:
+    the pair that closes a two-edge path, and for a left-over edge a
+    bridge_chord not added before.  An edge that is a whole tree (both ends
+    have one neighbour) takes its chord from lone_rows when they are given.
+    """
     additions: list[Edge] = []
-    leftover: Edge | None = None
-    for grp in p3_partition(t):
-        if len(grp) == 1:
-            leftover = grp[0]
-            continue
-        # the chord joins the two endpoints the edges do not share
-        additions.append(tuple(sorted(set(grp[0]) ^ set(grp[1]))))
-    if leftover is not None:
-        additions.append(bridge_chord(g, *leftover, set(additions)))
-    return CompletionSet(additions)
+    added: set[Edge] = set()
+    for p in paths:
+        if len(p) == 3:
+            e = norm_edge(p[0], p[2])
+        else:
+            u, v = norm_edge(*p)
+            lone = lone_rows is not None and len(rows[u]) == len(rows[v]) == 1
+            e = bridge_chord(lone_rows if lone else rows, u, v, added)
+        additions.append(e)
+        added.add(e)
+    return additions
 
 
-def bridge_chord(g: Graph, u: int, v: int, added: set[Edge]) -> Edge:
+def bridge_chord(
+    rows: Sequence[Sequence[int]], u: int, v: int, added: set[Edge]
+) -> Edge:
     """A non-edge that puts the bridge (u, v) in a triangle and is not in added.
 
-    It joins one endpoint to another neighbour of the other, trying u's
-    neighbours first.  A bridge lies in no triangle, so no such pair may
-    already be an edge of g.
+    rows are the ascending neighbour rows of a graph that holds the bridge.
+    The chord joins one endpoint to another neighbour of the other, trying
+    u's neighbours first.  A bridge lies in no triangle, so no such pair may
+    already be an edge.
     """
     for base, far in ((u, v), (v, u)):
-        for x in g.adj[base]:
+        near = rows[far]
+        for x in rows[base]:
             if x == far:
                 continue
-            e = norm_edge(far, x)
-            if g.has_edge(*e):
+            if _in_row(near, x):
                 raise AssertionError("bridge endpoint neighbor already closes a triangle")
+            e = norm_edge(far, x)
             if e not in added:
                 return e
     raise AssertionError("no chord available for a bridge")
