@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from kcover import (
     InputError,
     apply_completion,
     brute_min_completion,
+    check_chordal,
     decompose_trees,
     find_bridges,
     gen_random_chordal,
@@ -19,10 +21,11 @@ from kcover import (
     validate_completion,
     worst_case_spider,
 )
+from kcover import chordal, graph
 from kcover.cli import main
 from kcover.io import format_completion, write_graph
 
-from helpers import complete_graph, cycle_graph, path_graph, permuted, rooted
+from helpers import complete_graph, counting_heapq, cycle_graph, path_graph, permuted, rooted
 
 TRIANGLE_PENDANT = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)])
@@ -229,3 +232,35 @@ def test_large_chordal_golden_hash():
     for g in _large_chordal_graphs():
         h.update(format_completion(optimal_chordal_31(g)).encode())
     assert h.hexdigest() == GOLDEN_LARGE_CHORDAL_SHA256
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("optimal_chordal_31 called a search it should not need")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_optimal_chordal_runs_one_search_and_builds_no_graph(monkeypatch, seed):
+    # one maximum cardinality search tests connectivity and chordality and
+    # finds the bridges; no bridge tree is built as a Graph of its own
+    g = gen_random_chordal(5_000, 3, seed)
+    counts = Counter()
+    monkeypatch.setattr(graph, "heapq", counting_heapq(counts))
+    assert check_chordal(g).is_chordal
+    pushes = counts["push"]
+    expected = optimal_chordal_31(g)
+    built = Counter()
+    real_init = Graph.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built["graph"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    for name in ("find_bridges", "decompose_trees"):
+        for module in (graph, chordal):
+            monkeypatch.setattr(module, name, _refuse, raising=False)
+    monkeypatch.setattr(Graph, "is_connected", _refuse)
+    counts.clear()
+    assert optimal_chordal_31(g) == expected
+    assert counts["push"] == pushes > 0
+    assert built["graph"] == 0

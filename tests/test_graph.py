@@ -19,7 +19,7 @@ from kcover import (
     validate_completion,
 )
 from kcover import graph
-from kcover.graph import _count_cliques
+from kcover.graph import _count_cliques, cardinality_search
 
 from helpers import (
     brute_bridges,
@@ -238,6 +238,17 @@ def test_check_chordal_examples():
         res = check_chordal(cycle_graph(n))
         assert not res.is_chordal
         assert res.certificate is not None
+
+
+def test_cardinality_search_examples():
+    s = cardinality_search(Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (4, 5)]))
+    assert (s.restarts, s.certificate, s.no_triangle) == (2, None, [(0, 3), (4, 5)])
+    assert s.visit == [0, 1, 2, 3, 4, 5]
+    # off chordal graphs the no-triangle edges found may be short: C4's two
+    # edges at vertex 3 are never candidates, as 3 has two numbered neighbours
+    c4 = cardinality_search(cycle_graph(4))
+    assert (c4.restarts, c4.certificate, c4.no_triangle) == (1, 3, [(0, 1), (1, 2)])
+    assert cardinality_search(Graph(0, [])).restarts == 0
 
 
 def test_chordal_certificate_is_a_vertex():

@@ -1,7 +1,9 @@
 """check_chordal against the two-pass heap search it replaced, find_bridges
-against remove-and-count, the clique counter against a count over
-itertools.combinations and the clique finder against the counter, on
-arbitrary small graphs."""
+against remove-and-count, the search's no-triangle edges and restarts against
+a scan of every edge and the component count, the clique counter against a
+count over itertools.combinations and the clique finder against the counter,
+on arbitrary small graphs; and the no-triangle edges against find_bridges on
+relabelled chordal graphs."""
 
 from itertools import combinations
 
@@ -11,10 +13,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcover import Graph, check_chordal, find_bridges
-from kcover.graph import _count_cliques, _find_clique
+from kcover import Graph, check_chordal, find_bridges, gen_random_chordal
+from kcover.graph import _count_cliques, _find_clique, cardinality_search
 
-from helpers import brute_bridges, heap_check_chordal
+from helpers import brute_bridges, heap_check_chordal, permuted
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -25,6 +27,24 @@ def test_searches_match_their_references_property(n, data):
     g = Graph(n, [p for p, keep in zip(pairs, present) if keep])
     assert check_chordal(g) == heap_check_chordal(g)
     assert find_bridges(g) == brute_bridges(g)
+    search = cardinality_search(g)
+    assert search.restarts == len(g.components())
+    # the edges whose ends share no neighbour; the search finds them all when
+    # the graph is chordal, and only such edges on any graph
+    lonely = [(u, v) for u, v in g.edge_list() if set(g.adj[u]).isdisjoint(g.adj[v])]
+    if search.certificate is None:
+        assert search.no_triangle == lonely
+    else:
+        assert set(search.no_triangle) <= set(lonely)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(3, 60), width=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_no_triangle_edges_are_the_bridges_of_chordal_graphs_property(n, width, seed):
+    g = permuted(gen_random_chordal(n, min(width, n - 1), seed), seed)
+    search = cardinality_search(g)
+    assert search.certificate is None and search.restarts == 1
+    assert search.no_triangle == find_bridges(g)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
