@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .graph import CompletionSet, Edge, Graph, cardinality_search, find_bridges
-from .trees import _p3_paths, _path_chords
+from .trees import _path_chords
 
 
 @dataclass(frozen=True)
@@ -104,5 +104,4 @@ def optimal_chordal_31(g: Graph) -> CompletionSet:
             f"{search.certificate} are not a clique)"
         )
     rows, parent, trees = _root_forest(g.n, search.no_triangle)
-    del search
-    return CompletionSet(_path_chords(rows, _p3_paths(rows, parent, trees), g.adj))
+    return CompletionSet(_path_chords(rows, parent, trees, g.adj))

@@ -163,27 +163,28 @@ def optimal_tree_31(t: RootedTree) -> CompletionSet:
     g = t.base
     if g.n < 3:
         raise InputError("triangle completion needs at least 3 vertices")
-    return CompletionSet(_path_chords(g.adj, _p3_paths(g.adj, t.parent, [_peel_order(t)])))
+    return CompletionSet(_path_chords(g.adj, t.parent, [_peel_order(t)], g.adj))
 
 
 def _path_chords(
     rows: Sequence[Sequence[int]],
-    paths: Iterable[tuple[int, ...]],
-    lone_rows: Sequence[Sequence[int]] | None = None,
+    parent: Sequence[int],
+    trees: Iterable[Sequence[int]],
+    lone_rows: Sequence[Sequence[int]],
 ) -> list[Edge]:
-    """One chord per path of _p3_paths over the forest whose rows are rows:
-    the pair that closes a two-edge path, and for a left-over edge a
-    bridge_chord not added before.  An edge that is a whole tree (both ends
-    have one neighbour) takes its chord from lone_rows when they are given.
+    """One chord per path of _p3_paths(rows, parent, trees): the pair that
+    closes a two-edge path, and for a left-over edge a bridge_chord not added
+    before, from lone_rows when the edge is a whole tree (both ends have one
+    neighbour) and from rows otherwise.
     """
     additions: list[Edge] = []
     added: set[Edge] = set()
-    for p in paths:
+    for p in _p3_paths(rows, parent, trees):
         if len(p) == 3:
             e = norm_edge(p[0], p[2])
         else:
             u, v = norm_edge(*p)
-            lone = lone_rows is not None and len(rows[u]) == len(rows[v]) == 1
+            lone = len(rows[u]) == len(rows[v]) == 1
             e = bridge_chord(lone_rows if lone else rows, u, v, added)
         additions.append(e)
         added.add(e)

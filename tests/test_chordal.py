@@ -64,6 +64,13 @@ def test_decompose_whole_tree():
     assert d.tree_edges == (((0, 1), (1, 2), (2, 3), (3, 4)),)
 
 
+def test_decompose_smallest_graphs():
+    d = decompose_trees(path_graph(3))
+    assert d.trees == ((0, 1, 2),)
+    assert d.tree_edges == (((0, 1), (1, 2)),)
+    assert decompose_trees(complete_graph(3)).trees == ()
+
+
 def test_decompose_two_edge_connected_graph():
     d = decompose_trees(complete_graph(4))
     assert d.trees == ()
