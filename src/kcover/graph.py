@@ -506,8 +506,7 @@ def cardinality_search(g: Graph) -> CardinalitySearch:
     exactly the bridges (Tarjan and Yannakakis, SIAM J. Comput. 13(3), 1984).
     """
     n, adj = g.n, g.adj
-    weight = [0] * n
-    rank = [-1] * n  # visit position, -1 until numbered
+    weight = [0] * n  # numbered neighbours, then -1 - visit position once numbered
     cand = [-1] * n  # x while (x, v) is a candidate, v numbered after x
     lone: list[int] = []  # each v numbered with one numbered neighbour
     # buckets[w]: heap of the ids pushed at weight w; no weight exceeds a degree
@@ -521,22 +520,23 @@ def cardinality_search(g: Graph) -> CardinalitySearch:
             while not buckets[top]:
                 top -= 1
             v = heapq.heappop(buckets[top])
-            if rank[v] < 0 and weight[v] == top:
+            if weight[v] == top:
                 break
-        rank[v] = v_rank
+        weight[v] = -1 - v_rank
         visit.append(v)
         row = adj[v]
         later = []
         for w in row:
-            if rank[w] >= 0:
+            wt = weight[w]
+            if wt < 0:
                 later.append(w)
                 continue
-            wt = weight[w] = weight[w] + 1
+            wt = weight[w] = wt + 1
             heapq.heappush(buckets[wt], w)
             if wt > top:
                 top = wt
         if len(later) > 1:
-            u = max(later, key=rank.__getitem__)
+            u = min(later, key=weight.__getitem__)  # the one numbered last
             nearest = adj[u]
             for w in later:
                 if w != u:

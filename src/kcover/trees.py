@@ -191,9 +191,7 @@ def _path_chords(
     return additions
 
 
-def bridge_chord(
-    rows: Sequence[Sequence[int]], u: int, v: int, added: set[Edge]
-) -> Edge:
+def bridge_chord(rows: Sequence[Sequence[int]], u: int, v: int, added: set[Edge]) -> Edge:
     """A non-edge that puts the bridge (u, v) in a triangle and is not in added.
 
     rows are the ascending neighbour rows of a graph that holds the bridge.
