@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import CompletionSet, Edge, Graph, cardinality_search, find_bridges
+from .graph import CompletionSet, Edge, Graph, cardinality_search, find_bridges, norm_edge
 from .trees import _path_chords
 
 
@@ -77,8 +77,7 @@ def decompose_trees(g: Graph) -> ChordalDecomposition:
     return ChordalDecomposition(
         trees=tuple(tuple(sorted(tree)) for tree in trees),
         tree_edges=tuple(
-            tuple(sorted((min(v, parent[v]), max(v, parent[v])) for v in tree if parent[v] != v))
-            for tree in trees
+            tuple(sorted(norm_edge(v, parent[v]) for v in tree if parent[v] != v)) for tree in trees
         ),
     )
 
