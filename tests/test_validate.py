@@ -39,6 +39,11 @@ MULTIPLICITIES = (1, 2, 3)
 # routes were cut; any rewrite of the scan must reproduce it.
 GOLDEN_COVER_CHECK_SHA256 = "42f3ea7004a8d7ad6b7b85e894df76f92db374fabc0062fb60eca1b795b534ea"
 
+# sha256 of the verdicts of validate_pairs and validate_completion on the
+# cases of _large_check_cases below, recorded while the check still held
+# neighbour sets; a new neighbour store must reproduce it.
+GOLDEN_LARGE_CHECK_SHA256 = "2d7b66339e69a4a1cf49d9c302162ecb126a1ab0e1731ae3490e08f24f08cf78"
+
 
 def _disjoint(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
@@ -175,3 +180,46 @@ def test_cover_check_golden_hash():
                 h.update(f"{unsaturated_edges(joined, spec)}\n".encode())
     assert min(verdicts.values()) >= 20, verdicts
     assert h.hexdigest() == GOLDEN_COVER_CHECK_SHA256
+
+
+def _large_check_cases():
+    """(graph, completion, specs): a 4*10^4-vertex tree at k = 3 and 4 with
+    the optimal (3,1) and the k = 4 completions, chordal graphs of 4*10^4
+    vertices at widths 2-4 at k = 3, an 8*10^3-vertex tree at k = 5 and 6
+    and at l = 2, and stars of 2*10^4 leaves centred at the lowest and at
+    the highest id; each completion also with seeded 50% and 90% subsets."""
+    rng = random.Random(27)
+    cases = []
+    g = gen_random_tree(40_000, 3)
+    t = rooted(g)
+    cases += [(g, c, [(3, 1), (4, 1)]) for c in (optimal_tree_31(t), approx_tree_4(t))]
+    for width in (2, 3, 4):
+        g = gen_random_chordal(40_000, width, width)
+        cases.append((g, optimal_chordal_31(g), [(3, 1)]))
+    g = gen_random_tree(8_000, 5)
+    t = rooted(g)
+    specs = [(5, 1), (6, 1), (3, 2), (4, 2)]
+    cases += [(g, c, specs) for c in (approx_tree_4(t), approx_tree_k(t, 5), approx_tree_k(t, 6))]
+    n = 20_001
+    for centre in (0, n - 1):
+        g = Graph(n, [(centre, v) for v in range(n) if v != centre])
+        t = rooted(g)
+        cases += [(g, c, [(3, 1), (4, 1)]) for c in (optimal_tree_31(t), approx_tree_4(t))]
+    for g, c, specs in cases:
+        pairs = list(c)
+        for share in (100, 50, 90):
+            yield g, CompletionSet(rng.sample(pairs, len(pairs) * share // 100)), specs
+
+
+def test_large_check_golden_hash():
+    h = hashlib.sha256()
+    verdicts = {"ok": 0, "failing": 0}
+    for g, c, specs in _large_check_cases():
+        pairs = g.edge_list()
+        for k, l in specs:
+            spec = CoverSpec(k, l)
+            for check in (validate_pairs(g.n, pairs, c, spec), validate_completion(g, c, spec)):
+                h.update(f"{check.violations} {check.connected}\n".encode())
+                verdicts["ok" if check.ok else "failing"] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+    assert h.hexdigest() == GOLDEN_LARGE_CHECK_SHA256
