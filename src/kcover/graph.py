@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, starmap
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import InputError
 
@@ -291,39 +291,87 @@ def _find_clique(
     return None
 
 
-def _unsaturated(nbr: Mapping[int, set[int]], spec: CoverSpec, n: int) -> list[Edge]:
+# Rows longer than this become sets for the k = 3 and 4 scans, which then walk
+# no long row; at 8 a 4*10^4-vertex tree's k = 4 check peaks at 167 B/vertex,
+# not 143, and at 64 a tree of 48-leaf hubs checks 23% slower.
+LONG_ROW = 16
+
+
+def _neighbour_rows(
+    pairs: Iterable[tuple[int, int]], n: int, fault: Callable[[], NoReturn]
+) -> defaultdict[int, list[int]]:
+    """The neighbour rows of the vertices the pairs touch, as lists in the
+    pairs' order, so memory follows the pairs and not n.  A vertex outside
+    0..n-1 calls fault, which raises the first fault of the input."""
+    rows: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in pairs:
+        rows[u].append(v)
+        rows[v].append(u)
+    if min(rows, default=0) < 0 or max(rows, default=-1) >= n:
+        fault()
+    return rows
+
+
+def _rows_to_sets(
+    rows: dict[int, Sequence[int]], longer_than: int, fault: Callable[[], NoReturn]
+) -> None:
+    """Replace each row longer than longer_than by its set, freeing the row.
+    A set shorter than its row shows a repeated neighbour, a self-loop or an
+    addition that is already an edge, and calls fault."""
+    for u, row in rows.items():
+        if len(row) > longer_than:
+            su = set(row)
+            if len(su) < len(row):
+                fault()
+            rows[u] = su
+
+
+def _unsaturated(
+    rows: dict[int, Sequence[int]], spec: CoverSpec, n: int, fault: Callable[[], NoReturn]
+) -> list[Edge]:
     """The edges lying in fewer than spec.l cliques of order spec.k, sorted.
 
-    nbr maps each vertex of the graph on 0..n-1 that has a neighbour to its
-    neighbour set, and the edges are scanned from it by lower end.  At l = 1
-    and k >= 5, a clique found for one edge covers all its pairs, so the lower
-    ends are taken in ascending order, and the pairs of each clique found that
-    the scan has yet to reach are marked and skipped when reached: as the
-    integers u * n + v, or, at the current lower end, as its neighbour.  A
-    mark is dropped when its edge is reached.  At l >= 2 each edge's cliques
-    are counted, up to l.
+    rows maps each vertex of the graph on 0..n-1 that has a neighbour, and
+    maybe others, to its neighbours, and the edges are scanned from it by
+    lower end.  A row that repeats a neighbour calls fault, which raises the
+    first fault of the input.  At l = 1 and k = 3 or 4, each row longer than
+    LONG_ROW becomes its set, and each lower end u makes one temporary set of
+    its row and tests it against its higher neighbours' rows.  Every other
+    route turns the rows into sets first.  At l = 1 and k >= 5, a clique found
+    for one edge covers all its pairs, so the lower ends are taken in
+    ascending order, and the pairs of each clique found that the scan has yet
+    to reach are marked and skipped when reached: as the integers u * n + v,
+    or, at the current lower end, as its neighbour.  A mark is dropped when
+    its edge is reached.  At l >= 2 each edge's cliques are counted, up to l.
     """
     need, cap = spec.k - 2, spec.l
     out: list[Edge] = []
-    # k = 3, l = 1: no common neighbour; the marks scan takes about twice as long
-    if need == cap == 1:
-        for u, nu in nbr.items():
-            for v in nu:
-                if v > u and nu.isdisjoint(nbr[v]):
-                    out.append((u, v))
-    # k = 4, l = 1: no edge among the common neighbours; marks would raise the peak
-    elif need == 2 and cap == 1:
-        for u, nu in nbr.items():
-            for v in nu:
+    if cap == 1 and need <= 2:
+        _rows_to_sets(rows, LONG_ROW, fault)
+        for u, row in rows.items():
+            su = row if len(row) > LONG_ROW else set(row)
+            if len(su) < len(row):
+                fault()
+            for v in row:
                 if v < u:
                     continue
-                common = nu & nbr[v]
+                # k = 3: no common neighbour; the marks scan takes about twice as long
+                if need == 1:
+                    if su.isdisjoint(rows[v]):
+                        out.append((u, v))
+                    continue
+                # k = 4: no edge among the common neighbours; marks would raise the peak
+                common = su.intersection(rows[v])
                 for x in common:
-                    if not common.isdisjoint(nbr[x]):
+                    if not common.isdisjoint(rows[x]):
                         break
                 else:
                     out.append((u, v))
-    elif cap == 1:
+        out.sort()
+        return out
+    _rows_to_sets(rows, 0, fault)
+    nbr = rows  # every row is now a set
+    if cap == 1:
         marks: set[int] = set()  # pairs of found cliques at higher lower ends
         here: set[int] = set()  # the current lower end's neighbours in them
         for u in sorted(nbr):
@@ -360,7 +408,7 @@ def _unsaturated(nbr: Mapping[int, set[int]], spec: CoverSpec, n: int) -> list[E
 
 def unsaturated_edges(g: Graph, spec: CoverSpec) -> list[Edge]:
     """Edges lying in fewer than spec.l cliques of order spec.k, in lexicographic order."""
-    return _unsaturated(dict(enumerate(map(set, g.adj))), spec, g.n)
+    return list(validate_completion(g, CompletionSet(), spec).violations)
 
 
 def apply_completion(g: Graph, c: CompletionSet) -> Graph:
@@ -384,54 +432,57 @@ def validate_pairs(
     and is connected, raising the InputErrors of Graph(n, pairs) and of
     apply_completion.
 
-    No Graph is built: the pairs and c's additions go into neighbour sets,
+    No Graph is built: the pairs and c's additions go into neighbour rows,
     held only for the vertices they touch, so memory follows the input and not
-    n.  A repeat, a self-loop or an addition that is already an edge leaves
-    the sets' sizes short of twice the pair count, and the sets' keys are the
-    endpoints; only a fault found in bulk makes the in-order rescan run, which
-    raises the first one.  Every edge is then scanned once against those sets
-    (see _cover_check).
+    n.  An endpoint out of range shows as a row key below 0 or of n or more,
+    and a repeat, a self-loop or an addition that is already an edge as a row
+    whose set is shorter, found as the scan makes that set; only a fault found
+    so makes the in-order rescan run, which raises the first one.  Every edge
+    is scanned once against the rows (see _cover_check).
     """
     if n < 0:
         raise InputError("vertex count must be non-negative")
     if not isinstance(pairs, (list, tuple)):
         pairs = list(pairs)
-    nbr = neighbour_sets(chain(pairs, c))
-    if (
-        sum(map(len, nbr.values())) < 2 * (len(pairs) + len(c))
-        or min(nbr, default=0) < 0
-        or max(nbr, default=-1) >= n
-    ):
+
+    def fault() -> NoReturn:
         edge_set = frozenset(_checked_edges(pairs, n))
         for e in c:
             _check_addition(e, n, e in edge_set)
-    return _cover_check(n, nbr, spec)
+        raise AssertionError("a fault was found in bulk but not in order")
+
+    return _cover_check(n, _neighbour_rows(chain(pairs, c), n, fault), spec, fault)
 
 
 def validate_completion(g: Graph, c: CompletionSet, spec: CoverSpec) -> CoverCheck:
     """Check that g plus c has a (k,l)-cover and is connected (see validate_pairs).
 
-    g's edges were checked when g was built, so only c's additions are.
+    g's edges were checked when g was built, so only c's additions are.  The
+    rows are g's own, and a new list for each vertex that an addition touches.
     """
-    # copying the rows beats validate_pairs(g.n, g.edge_list(), c, spec) in time and peak
-    nbr = dict(enumerate(map(set, g.adj)))
-    for e in c:
-        _check_addition(e, g.n, g.has_edge(*e))
-        u, v = e
-        nbr[u].add(v)
-        nbr[v].add(u)
-    return _cover_check(g.n, nbr, spec)
+
+    def fault() -> NoReturn:
+        for e in c:
+            _check_addition(e, g.n, g.has_edge(*e))
+        raise AssertionError("a fault was found in bulk but not in order")
+
+    rows: dict[int, Sequence[int]] = dict(enumerate(g.adj))
+    for v, added in _neighbour_rows(c, g.n, fault).items():
+        rows[v] = [*rows[v], *added]
+    return _cover_check(g.n, rows, spec, fault)
 
 
-def _cover_check(n: int, nbr: Mapping[int, set[int]], spec: CoverSpec) -> CoverCheck:
-    """The verdict on the graph on 0..n-1 whose neighbour sets are nbr.
+def _cover_check(
+    n: int, rows: dict[int, Sequence[int]], spec: CoverSpec, fault: Callable[[], NoReturn]
+) -> CoverCheck:
+    """The verdict on the graph on 0..n-1 whose neighbour rows are rows.
 
-    Every edge is scanned once against the sets.  With n > 1, a vertex that
-    nbr does not hold leaves the graph disconnected; otherwise one search from
-    vertex 0 counts the vertices it reaches.
+    Every edge is scanned once against the rows.  With n > 1, a vertex that
+    rows does not hold leaves the graph disconnected; otherwise one search
+    from vertex 0 counts the vertices it reaches.
     """
-    violations = tuple(_unsaturated(nbr, spec, n))
-    connected = _is_connected(nbr, n) if len(nbr) == n else n <= 1
+    violations = tuple(_unsaturated(rows, spec, n, fault))
+    connected = _is_connected(rows, n) if len(rows) == n else n <= 1
     return CoverCheck(ok=not violations and connected, violations=violations, connected=connected)
 
 
