@@ -27,9 +27,11 @@ PEAK_BYTES_PER_VERTEX = {
     "approx_tree_4": ((350, 455), (278, 360)),
     "approx_tree_k(5)": ((287, 375), (223, 290)),
     "optimal_chordal_31": ((155, 200), (148, 190)),
-    "validate_pairs(3)": ((310, 400), (313, 410)),
-    "validate_pairs(4)": ((417, 540), (420, 550)),
-    "validate_pairs(5)": ((531, 690), (509, 660)),
+    "validate_pairs(3)": ((130, 170), (133, 175)),
+    "validate_pairs(4)": ((140, 185), (143, 190)),
+    "validate_pairs(5)": ((522, 680), (500, 650)),
+    "validate_pairs(star, 4)": ((257, 335), (195, 255)),
+    "validate_pairs(chordal w4, 3)": ((197, 255), (202, 265)),
 }
 
 
@@ -48,6 +50,12 @@ def _routes(n: int) -> dict:
     completions = {3: optimal_tree_31(t), 4: approx_tree_4(t), 5: approx_tree_k(t, 5)}
     chordal = gen_random_chordal(n, 3, 7)
     tree_pairs, chordal_pairs = g.edge_list(), chordal.edge_list()
+    # the star's centre is its highest id, so every leaf is a lower end that
+    # tests the centre's row; the width-4 chordal graph has hundreds of long rows
+    star = Graph(n, [(v, n - 1) for v in range(n - 1)])
+    star_pairs, star_completion = star.edge_list(), approx_tree_4(RootedTree.from_graph(star))
+    wide = gen_random_chordal(n, 4, 7)
+    wide_pairs, wide_completion = wide.edge_list(), optimal_chordal_31(wide)
 
     def check(k):
         return validate_pairs(n, tree_pairs, completions[k], CoverSpec(k, 1))
@@ -64,6 +72,10 @@ def _routes(n: int) -> dict:
         "validate_pairs(3)": lambda: check(3),
         "validate_pairs(4)": lambda: check(4),
         "validate_pairs(5)": lambda: check(5),
+        "validate_pairs(star, 4)": lambda: validate_pairs(n, star_pairs, star_completion, CoverSpec(4)),
+        "validate_pairs(chordal w4, 3)": lambda: validate_pairs(
+            n, wide_pairs, wide_completion, CoverSpec(3)
+        ),
     }
 
 
