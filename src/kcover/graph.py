@@ -293,7 +293,7 @@ def _find_clique(
 
 # Rows longer than this become sets for the k = 3 and 4 scans, which then walk
 # no long row; at 8 a 4*10^4-vertex tree's k = 4 check peaks at 167 B/vertex,
-# not 143, and at 64 a tree of 48-leaf hubs checks 23% slower.
+# not 143, and at 64 a tree of 48-leaf hubs checks about a quarter slower.
 LONG_ROW = 16
 
 
