@@ -13,6 +13,7 @@ from kcover import (
     gen_random_tree,
 )
 from kcover.generators import chordal_size_bound
+from kcover.io import format_edge_list
 
 from helpers import enumerated_3partition
 
@@ -42,6 +43,34 @@ def test_gen_random_tree():
         assert g.m == 11 and g.is_connected()
     assert gen_random_tree(12, 3) == gen_random_tree(12, 3)
     assert len({gen_random_tree(12, seed) for seed in range(20)}) > 1
+
+
+# sha256 of format_edge_list over _drawn_graphs below, recorded while both
+# generators drew through random.Random's own randrange, randint and sample and
+# Prüfer sequences were decoded with a heap; any rewrite must reproduce it.
+GOLDEN_DRAWN_GRAPHS_SHA256 = "a484d3ab28ec6b0e1e651b0b9691de62b55608345f82bd4f1c9c1fda24aaeef8"
+
+
+def _drawn_graphs():
+    """Trees at sizes around powers of two (where bit_length moves), chordal
+    graphs at widths on both sides of random.sample's 21-member pool limit,
+    the 4*10^4-vertex graphs of the benchmark, and every labeled tree to n = 7."""
+    for n in (1, 2, 3, 4, 5, 63, 64, 65, 300, 20_000, 40_000):
+        for seed in range(3):
+            yield gen_random_tree(n, seed)
+    for n, widths in ((200, (1, 2, 3, 4, 20, 21, 22, 25, 60)), (40_000, (2, 3, 4))):
+        for width in widths:
+            for seed in range(3):
+                yield gen_random_chordal(n, width, seed)
+    for n in range(3, 8):
+        yield from enumerate_labeled_trees(n)
+
+
+def test_drawn_graphs_golden_hash():
+    h = hashlib.sha256()
+    for g in _drawn_graphs():
+        h.update(format_edge_list(g).encode())
+    assert h.hexdigest() == GOLDEN_DRAWN_GRAPHS_SHA256
 
 
 def test_gen_random_chordal():
