@@ -6,32 +6,77 @@ corpora and benchmark runs are reproducible byte for byte.
 
 from __future__ import annotations
 
-import heapq
 import random
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, combinations, product
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import InputError
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph
 from .reductions import SetCoverInstance, ThreePartitionInstance
 
 
-def _tree_from_prufer(seq: tuple[int, ...], n: int) -> list[Edge]:
+# random.Random.sample draws from a copied pool, one below() per member, for a
+# population of at most this many; above it, it may switch to a set of picks.
+_POOL_LIMIT = 21
+
+
+def _below(rng: random.Random) -> Callable[[int], int]:
+    """below(m): a uniform integer of range(m), m >= 1, drawn exactly as
+    rng.randrange(m) draws it (Random._randbelow_with_getrandbits) but without
+    randrange's argument handling, so the stream and every graph stay as they
+    were.  tests/test_generators.py checks this against the Python in use."""
+    getrandbits = rng.getrandbits
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+def _sample(
+    rng: random.Random, below: Callable[[int], int], population: Sequence[int], size: int
+) -> list[int]:
+    """rng.sample(population, size), 1 <= size <= len(population), draw for
+    draw: below is _below(rng), and a population of at most _POOL_LIMIT
+    members is drawn from a pool as Random.sample draws it."""
+    h = len(population)
+    if h > _POOL_LIMIT:
+        return rng.sample(population, size)
+    pool = list(population)
+    picks = []
+    for i in range(h - 1, h - 1 - size, -1):
+        j = below(i + 1)
+        picks.append(pool[j])
+        pool[j] = pool[i]
+    return picks
+
+
+def _tree_from_prufer(seq: Sequence[int], n: int) -> list[Edge]:
+    """The tree of a Prüfer sequence over 0..n-1, n >= 2: each step joins the
+    smallest leaf to the next entry.  A forward-only pointer finds that leaf,
+    since a vertex that becomes a leaf behind it is the smallest one."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    ptr = leaf = degree.index(1)
     edges: list[Edge] = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append(norm_edge(leaf, x))
+        edges.append((leaf, x) if leaf < x else (x, leaf))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append(norm_edge(heapq.heappop(leaves), heapq.heappop(leaves)))
+        if x < ptr and degree[x] == 1:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -49,8 +94,8 @@ def gen_random_tree(n: int, seed: int) -> Graph:
         raise InputError("tree needs at least one vertex")
     if n == 1:
         return Graph(1, [])
-    rng = random.Random(seed)
-    seq = tuple(rng.randrange(n) for _ in range(n - 2))
+    below = _below(random.Random(seed))
+    seq = [below(n) for _ in range(n - 2)]
     return Graph(n, _tree_from_prufer(seq, n))
 
 
@@ -65,14 +110,16 @@ def gen_random_chordal(n: int, width: int, seed: int) -> Graph:
     if width < 1 or n < width + 1:
         raise InputError(f"need n >= width+1 >= 2, got n={n}, width={width}")
     rng = random.Random(seed)
+    below = _below(rng)
     base = width + 1
     edges: list[Edge] = list(combinations(range(base), 2))
     clique_of: list[tuple[int, ...]] = [tuple(range(base))] * base
     for v in range(base, n):
-        host_clique = clique_of[rng.randrange(v)]
-        size = rng.randint(1, min(width, len(host_clique)))
-        attach = tuple(sorted(rng.sample(host_clique, size)))
-        edges.extend(norm_edge(u, v) for u in attach)
+        # as randrange(v), randint(1, ...) and sample(host, size) would draw
+        host = clique_of[below(v)]
+        size = 1 + below(min(width, len(host)))
+        attach = tuple(sorted(_sample(rng, below, host, size)))
+        edges += [(u, v) for u in attach]  # u < v: u is an earlier vertex
         clique_of.append(attach + (v,))
     return Graph(n, edges)
 

@@ -276,6 +276,24 @@ def enumerated_3partition(p: int, s: int, seed: int, yes: bool = True):
     return None
 
 
+def heap_prufer_tree(seq, n: int) -> list[tuple[int, int]]:
+    """The edges of a Prüfer sequence's tree, in generators._tree_from_prufer's
+    order, as it decoded them when it kept the current leaves in a heap."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append(norm_edge(heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append(norm_edge(heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
 # io.parse_edge_pairs and io.parse_completion as they were when every line was
 # stripped, split and converted in Python, with the two helpers they called.
 def linewise_data_lines(text: str) -> tuple[list[tuple[int, str]], list[str]]:

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from itertools import product
 
 import pytest
 
@@ -12,10 +14,10 @@ from kcover import (
     gen_random_setcover,
     gen_random_tree,
 )
-from kcover.generators import chordal_size_bound
+from kcover.generators import _below, _sample, _tree_from_prufer, chordal_size_bound
 from kcover.io import format_edge_list
 
-from helpers import enumerated_3partition
+from helpers import enumerated_3partition, heap_prufer_tree
 
 
 def test_enumerate_labeled_trees_counts():
@@ -71,6 +73,33 @@ def test_drawn_graphs_golden_hash():
     for g in _drawn_graphs():
         h.update(format_edge_list(g).encode())
     assert h.hexdigest() == GOLDEN_DRAWN_GRAPHS_SHA256
+
+
+def test_below_and_sample_draw_as_random_does():
+    # The generators draw through _below and _sample so that their graphs stay
+    # those of random.Random's randrange, randint and sample.  A Python whose
+    # random draws differently fails here by name, not as a changed graph.
+    bounds = [*range(1, 71), 10**6]
+    for j in range(7, 31):
+        bounds += [2**j - 1, 2**j, 2**j + 1]
+    for seed in (0, 1, 2026):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        below = _below(ours)
+        for m in bounds:
+            assert below(m) == theirs.randrange(m), (seed, m)
+            assert 1 + below(m) == theirs.randint(1, m), (seed, m)
+        for h in range(1, 26):
+            population = tuple(range(100, 100 + 3 * h, 3))
+            for size in range(1, min(h, 5) + 1):
+                want = theirs.sample(population, size)
+                assert _sample(ours, below, population, size) == want, (seed, h, size)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_linear_prufer_decoder_matches_the_heap_decoder():
+    for n in range(2, 8):
+        for seq in product(range(n), repeat=n - 2):
+            assert _tree_from_prufer(seq, n) == heap_prufer_tree(seq, n), seq
 
 
 def test_gen_random_chordal():
