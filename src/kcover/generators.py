@@ -72,10 +72,7 @@ def _tree_from_prufer(seq: Sequence[int], n: int) -> list[Edge]:
         if x < ptr and degree[x] == 1:
             leaf = x
         else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
+            ptr = leaf = degree.index(1, ptr + 1)
     edges.append((leaf, n - 1))
     return edges
 
