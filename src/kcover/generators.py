@@ -65,9 +65,9 @@ def _tree_from_prufer(seq: Sequence[int], n: int) -> list[Edge]:
     for x in seq:
         degree[x] += 1
     ptr = leaf = degree.index(1)
-    # The leaves first, then the edges: ids made while the edge tuples were
-    # made would sit among them, and keep their memory once they are freed
-    # (peak RSS of `gen tree --n 1000000`: 274 MB, against 262 MB so).
+    # The leaves first, then the edges: leaf ids made among the edge tuples
+    # would pin the tuples' memory pages once the tuples are freed, and raise
+    # the peak RSS of writing a large tree.
     leaves = []
     for x in seq:
         leaves.append(leaf)
