@@ -88,9 +88,10 @@ def test_below_and_sample_draw_as_random_does():
         for m in bounds:
             assert below(m) == theirs.randrange(m), (seed, m)
             assert 1 + below(m) == theirs.randint(1, m), (seed, m)
+        # every (population, size) gen_random_chordal reaches for width <= 24
         for h in range(1, 26):
             population = tuple(range(100, 100 + 3 * h, 3))
-            for size in range(1, min(h, 5) + 1):
+            for size in range(1, h + 1):
                 want = theirs.sample(population, size)
                 assert _sample(ours, below, population, size) == want, (seed, h, size)
         assert ours.getstate() == theirs.getstate()

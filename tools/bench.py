@@ -1,20 +1,22 @@
 """Record one workload of the benchmark as a committed BENCH_<workload>.json.
 
-    python tools/bench.py --workload chordal-large --seeds 1-10
+    python tools/bench.py --workload chordal-large
 
 Runs perfbench/run.py as it stands, untraced, for BENCHMARK.json's
-run_seconds, once per seed and one run at a time, and keeps the JSON object
-each run prints last.  Before the first
-run and after each one it times calibration(), a fixed pure-Python loop, in
-this process's CPU time, so that a later file can tell a slower host from a
-slower program: each timing is also given divided by the median loop time.
+run_seconds, once for each of SEEDS and one run at a time, and keeps the
+JSON object each run prints last.  Before the first run and after each one
+it times calibration(), a fixed pure-Python loop, in this process's CPU
+time.  The loop does not yet track what slows the benchmark on a shared
+host, so the file gives its times beside the metrics and divides nothing
+by them.
 
 The file holds, for each end-to-end metric, the median, the quartiles and
 their distance over the runs, every run's own figures, the loop times, the
-git revision (and whether src/ or perfbench/ differed from it) and the
-Python version, and is written to BENCH_<workload>.json at the root of the
-repository.  The exit status is 1 when a run fails or reports a wrong or
-failed command, and the file is still written.
+git revision and the Python version, and is written to
+BENCH_<workload>.json at the root of the repository.  Every file is
+recorded over the same seeds, so that files of one workload compare.  The
+exit status is 1 when a run fails or reports a wrong or failed command,
+and the file is still written.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALIBRATION_STEPS = 3_000_000
+SEEDS = range(1, 11)
 
 
 def calibration() -> float:
@@ -48,17 +51,6 @@ def spread(values: list[float]) -> dict[str, float]:
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
-
-
-def seed_list(text: str) -> list[int]:
-    """'1-10' or '3,5,8' (or a mix) as a list of seeds."""
-    seeds = []
-    for part in text.split(","):
-        first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
-    if not seeds:
-        raise argparse.ArgumentTypeError("no seeds given")
-    return seeds
 
 
 def git(*args: str) -> str:
@@ -85,13 +77,12 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
     args = parser.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     loops = [calibration()]
     runs = []
-    for seed in args.seeds:
+    for seed in SEEDS:
         run = run_once(args.workload, seed, seconds)
         runs.append(run)
         loops.append(calibration())
@@ -100,23 +91,17 @@ def main(argv: list[str] | None = None) -> int:
               f"failed {run.get('failed')}, {figures}, loop {loops[-1]:.3f} s", flush=True)
 
     good = [r for r in runs if r["exit"] == 0]
-    loop = statistics.median(loops)
     end_to_end = {}
     for name, metric in (good[0]["metrics"] if good else {}).items():
         values = [r["metrics"][name]["value"] for r in good]
-        entry = {"unit": metric["unit"], **spread(values), "values": values}
-        if metric["unit"] == "s":
-            entry["median_per_calibration"] = entry["median"] / loop
-        end_to_end[name] = entry
+        end_to_end[name] = {"unit": metric["unit"], **spread(values), "values": values}
 
     record = {
         "workload": args.workload,
         "seconds": seconds,
-        "seeds": args.seeds,
+        "seeds": list(SEEDS),
         "revision": git("rev-parse", "HEAD"),
-        "tree_differs": bool(git("status", "--porcelain", "--", "src", "perfbench")),
         "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
         "calibration": {"steps": CALIBRATION_STEPS, "unit": "s", **spread(loops), "values": loops},
         "end_to_end": end_to_end,
         "runs": [{k: v for k, v in r.items() if k != "metrics"} for r in runs],
