@@ -9,11 +9,12 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, combinations, product
+from functools import partial
+from itertools import accumulate, chain, combinations, product
 from typing import Callable, Iterator, Sequence
 
 from .errors import InputError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, PairSource
 from .reductions import SetCoverInstance, ThreePartitionInstance
 
 
@@ -106,23 +107,26 @@ def gen_random_chordal(n: int, width: int, seed: int) -> Graph:
     Each new vertex attaches to a random subset (size 1..width) of a clique
     around a random earlier vertex, so insertion order reversed is a perfect
     elimination ordering.  Size-1 attachments create bridges, giving the
-    decomposition into trees something to chew on.
+    decomposition into trees something to chew on.  The edges are kept as
+    one flat list of their ends, which Graph reads two at a time.
     """
     if width < 1 or n < width + 1:
         raise InputError(f"need n >= width+1 >= 2, got n={n}, width={width}")
     rng = random.Random(seed)
     below = _below(rng)
     base = width + 1
-    edges: list[Edge] = list(combinations(range(base), 2))
+    ends: list[int] = list(chain.from_iterable(combinations(range(base), 2)))
     clique_of: list[tuple[int, ...]] = [tuple(range(base))] * base
     for v in range(base, n):
         # as randrange(v), randint(1, ...) and sample(host, size) would draw
         host = clique_of[below(v)]
         size = 1 + below(min(width, len(host)))
         attach = tuple(sorted(_sample(rng, below, host, size)))
-        edges += [(u, v) for u in attach]  # u < v: u is an earlier vertex
+        for u in attach:
+            ends += u, v
         clique_of.append(attach + (v,))
-    return Graph(n, edges)
+    del clique_of
+    return Graph(n, PairSource(len(ends) // 2, partial(iter, ends)))
 
 
 def chordal_size_bound(n: int, width: int) -> int:

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, starmap
 from operator import eq, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Sized
 
 from .errors import InputError
 
@@ -24,6 +24,32 @@ def norm_edge(u: int, v: int) -> Edge:
     if u == v:
         raise InputError(f"self-loop ({u},{v}) is not allowed")
     return (u, v) if u < v else (v, u)
+
+
+class PairSource:
+    """A re-readable stream of pairs: len() counts them, and each iter() reads
+    them afresh, two at a time, from the flat iterator of integers that
+    numbers() returns, so that no list of them is kept.  zip hands out every
+    pair in one tuple, which it reuses once the reader has let go of it."""
+
+    __slots__ = ("_count", "_numbers")
+
+    def __init__(self, count: int, numbers: Callable[[], Iterator[int]]):
+        self._count = count
+        self._numbers = numbers
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        numbers = self._numbers()
+        return zip(numbers, numbers)
+
+
+def _rereadable(pairs: Iterable[tuple[int, int]]) -> Iterable[tuple[int, int]]:
+    """pairs itself when it has a len() and so can be read again, as a
+    sequence or a PairSource can; the pairs of a one-shot iterator as a list."""
+    return pairs if isinstance(pairs, Sized) else list(pairs)
 
 
 def _checked_edges(
@@ -61,15 +87,16 @@ def _sorted_rows(
     """The sorted neighbour rows of the graph on 0..n-1 whose edges are the
     pairs, and the pair count, refusing what _checked_edges refuses.
 
-    The rows show a fault in bulk: an endpoint of n or more, or below -n,
-    stops the fill; one in -n..-1 heads a row; a repeat or a self-loop leaves
-    equal neighbours side by side in a row, so its set is shorter.  Only then
-    does _checked_edges rescan the pairs, which raises the first fault.
+    The rows are filled straight from the pairs, which are copied only from
+    a one-shot iterator (see _rereadable).  The rows show a fault in bulk: an
+    endpoint of n or more, or below -n, stops the fill; one in -n..-1 heads a
+    row; a repeat or a self-loop leaves equal neighbours side by side in a
+    row, so its set is shorter.  Only then does _checked_edges rescan the
+    pairs, which raises the first fault.
     """
     if n < 0:
         raise InputError("vertex count must be non-negative")
-    if not isinstance(pairs, (list, tuple)):
-        pairs = list(pairs)
+    pairs = _rereadable(pairs)
     rows: list = [[] for _ in range(n)]  # lists while filled, then sorted tuples
     try:
         for u, v in pairs:
@@ -432,18 +459,18 @@ def validate_pairs(
     and is connected, raising the InputErrors of Graph(n, pairs) and of
     apply_completion.
 
-    No Graph is built: the pairs and c's additions go into neighbour rows,
-    held only for the vertices they touch, so memory follows the input and not
-    n.  An endpoint out of range shows as a row key below 0 or of n or more,
-    and a repeat, a self-loop or an addition that is already an edge as a row
-    whose set is shorter, found as the scan makes that set; only a fault found
-    so makes the in-order rescan run, which raises the first one.  Every edge
-    is scanned once against the rows (see _cover_check).
+    No Graph is built: the pairs, read once unless a fault is found (see
+    _rereadable), and c's additions go into neighbour rows, held only for the
+    vertices they touch, so memory follows the input and not n.  An endpoint
+    out of range shows as a row key below 0 or of n or more, and a repeat, a
+    self-loop or an addition that is already an edge as a row whose set is
+    shorter, found as the scan makes that set; only a fault found so makes
+    the in-order rescan run, which raises the first one.  Every edge is
+    scanned once against the rows (see _cover_check).
     """
     if n < 0:
         raise InputError("vertex count must be non-negative")
-    if not isinstance(pairs, (list, tuple)):
-        pairs = list(pairs)
+    pairs = _rereadable(pairs)
 
     def fault() -> NoReturn:
         edge_set = frozenset(_checked_edges(pairs, n))

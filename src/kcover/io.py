@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from bisect import bisect_right
+from functools import partial
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from .errors import InputError
-from .graph import CompletionSet, Graph
+from .graph import CompletionSet, Graph, PairSource
 from .reductions import (
     LabeledReductionGraph,
     Role,
@@ -43,41 +47,64 @@ def _parse_pair(line: str, no: int) -> tuple[int, int]:
         raise InputError(f"line {no}: expected two integers, got {line!r}") from None
 
 
-# A line of two unsigned decimal integers, blanks aside, as kcover writes
-# every pair and header line.
-_PAIR_LINE = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]*")
-_COUNT_LINE = re.compile(r"# additions=([0-9]+)")
+# An unsigned decimal integer of at most the digits int() converts, as set at
+# start-up (0 sets no limit): a longer number is read line by line, which
+# names its line, before anything is built.
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+_NUMBER = f"[0-9]{{1,{_DIGITS}}}" if _DIGITS else "[0-9]+"
+# A line of two such integers, blanks aside, as kcover writes every pair and
+# header line.
+_PAIR_LINE = re.compile(rf"[ \t]*({_NUMBER})[ \t]+({_NUMBER})[ \t]*")
+_COUNT_LINE = re.compile(rf"# additions=({_NUMBER})")
 # The start of the first line that is not a _PAIR_LINE, a final empty line
 # aside.  The search keeps no state from one line to the next, whereas a
 # repeated group over the lines, fullmatch(r"(?:<pair>\n)*"), holds memory
 # for every line it has passed.
 _BAD_LINE = re.compile(rf"^(?!\Z)(?!{_PAIR_LINE.pattern}$)", re.M)
+# A pass over the pairs of a text splits and converts this many characters
+# of it at a time, and the rest of the line they end in.
+CHUNK = 1 << 16
 
 
 def _ints(match: re.Match | None) -> tuple[int, ...] | None:
-    """The groups of match as integers: None without a match, or for a number
-    with more digits than int() converts."""
-    if match:
-        try:
-            return tuple(map(int, match.groups()))
-        except ValueError:
-            pass
-    return None
+    """The groups of match as integers, or None without a match."""
+    return tuple(map(int, match.groups())) if match else None
 
 
-def _bulk_pairs(body: str) -> list[tuple[int, int]] | None:
-    """The pairs of body when every line of it is a _PAIR_LINE, or None.
+def _first_line(text: str) -> tuple[str, int]:
+    """The first line of text, and where the rest of text starts."""
+    end = text.find("\n")
+    return (text, len(text)) if end < 0 else (text[:end], end + 1)
 
-    The text is searched and converted by C-level bulk operations; text it
-    refuses goes to the line-by-line readers, which name the first bad line.
+
+def _bulk_pairs(text: str, start: int) -> PairSource | None:
+    """The pairs of text from start on when every line there is a _PAIR_LINE,
+    or None.
+
+    The text is searched by a C-level bulk operation; text it refuses goes to
+    the line-by-line readers, which name the first bad line.  Every read of
+    the pairs converts the text afresh (see _numbers), so that neither a list
+    of its tokens nor one of its pairs is ever made.
     """
-    if _BAD_LINE.search(body):
+    if _BAD_LINE.search(text, start):
         return None
-    numbers = map(int, body.split())
-    try:
-        return list(zip(numbers, numbers))
-    except ValueError:  # more digits than int() converts
-        return None
+    count = text.count("\n", start) + (len(text) > start and text[-1] != "\n")
+    return PairSource(count, partial(_numbers, text, start))
+
+
+def _numbers(text: str, start: int) -> Iterator[int]:
+    """The integers of text from start on, split and converted a chunk (see
+    CHUNK) at a time."""
+    return chain.from_iterable(map(int, chunk.split()) for chunk in _chunks(text, start))
+
+
+def _chunks(text: str, start: int) -> Iterator[str]:
+    """text from start on, cut after the first line break at or past each
+    CHUNK characters."""
+    while start < len(text):
+        end = text.find("\n", start + CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 # The largest vertex count an edge list may declare.  A graph allocates its
@@ -100,19 +127,23 @@ def check_size(m: int, source: str) -> None:
         raise InputError(f"{source} m={m} edges; at most {MAX_EDGES} are supported")
 
 
-def parse_edge_pairs(text: str, connected: bool = False) -> tuple[int, list[tuple[int, int]]]:
+def parse_edge_pairs(
+    text: str, connected: bool = False
+) -> tuple[int, PairSource | list[tuple[int, int]]]:
     """The vertex count and the pairs of "n m" followed by m "u v" lines; '#'
-    starts a comment.  The pairs are returned as read, unchecked.
+    starts a comment.  The pairs are returned as read, unchecked: a
+    PairSource over text, or a list when a line is not a pair line as kcover
+    writes it.  The header's edge count is checked against the line count.
 
     With connected (the solvers need a connected graph), a header that
     declares fewer than n - 1 edges, or more than MAX_EDGES, is refused
     before any edge is read.
     """
-    head, _, body = text.partition("\n")
+    head, start = _first_line(text)
     header = _ints(_PAIR_LINE.fullmatch(head))
     if header:
         _check_header(*header, 1, connected)
-        pairs = _bulk_pairs(body)
+        pairs = _bulk_pairs(text, start)
         if pairs is not None:
             _check_count(header[1], len(pairs))
             return header[0], pairs
@@ -166,9 +197,9 @@ def format_edge_list(g: Graph) -> str:
 
 def parse_completion(text: str) -> CompletionSet:
     """Completion file: "u v" lines, counted by an optional "# additions=N" (the last one)."""
-    head, _, body = text.partition("\n")
+    head, start = _first_line(text)
     count = _ints(_COUNT_LINE.fullmatch(head))
-    pairs = _bulk_pairs(body if count else text)
+    pairs = _bulk_pairs(text, start if count else 0)
     if pairs is None:
         declared, pairs = _linewise_completion(text)
     else:

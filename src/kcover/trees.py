@@ -74,14 +74,22 @@ def _leave(parent: Sequence[int], count: list[int], gone: Sequence[int]) -> None
         count[d] = -1
 
 
+def _clique_pairs(vertices: Sequence[int], parent: Sequence[int]) -> Iterator[Edge]:
+    """The pairs of the ascending `vertices` that are not tree edges, one end
+    being the other's parent."""
+    for e in combinations(vertices, 2):
+        a, b = e
+        if parent[b] != a and parent[a] != b:
+            yield e
+
+
 def _add_clique(
     vertices: Sequence[int], parent: Sequence[int], occupied: set[Edge], additions: list[Edge]
 ) -> None:
-    """Add each pair of the ascending `vertices` that is neither a tree edge,
-    one end being the other's parent, nor in `occupied`, the pairs added."""
-    for e in combinations(vertices, 2):
-        a, b = e
-        if parent[b] != a and parent[a] != b and e not in occupied:
+    """Add each of _clique_pairs(vertices, parent) that is not in `occupied`,
+    the pairs added."""
+    for e in _clique_pairs(vertices, parent):
+        if e not in occupied:
             occupied.add(e)
             additions.append(e)
 
@@ -488,8 +496,11 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     deepest leaf with the most siblings: three of its vertices leave the
     residual tree and one stays, and at most one detached edge is banked per
     step.  Every step checks that no vertex that left keeps a live child, so
-    the live vertices still form one tree.  Phase two covers the banked
-    forest with the generic k=4 loop.
+    the live vertices still form one tree.  Two steps' cliques share at most
+    the earlier step's survivor, as its other three vertices leave, so phase
+    one adds each clique's pairs without looking for them among the earlier
+    additions.  Phase two covers the banked forest with the generic k=4 loop,
+    from a set of the additions so far.
     """
     g = t.base
     n = g.n
@@ -507,7 +518,6 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     for v in range(n):
         if count[v]:
             heapq.heappush(buckets[depth[v]], (-count[v], v))
-    occupied: set[Edge] = set()
     additions: list[Edge] = []
     banked: list[Edge] = []
     live = n
@@ -545,7 +555,7 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
                     banked.append(norm_edge(u1, c))
                     dead.append(c)
         # the 4-clique: the survivor and the three that leave, not a banked child
-        _add_clique(sorted([survivor, *dead[:3]]), parent, occupied, additions)
+        additions += _clique_pairs(sorted([survivor, *dead[:3]]), parent)
         _leave(parent, count, dead)
         live -= len(dead)
         if count[survivor] > 0:
@@ -553,10 +563,9 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     # what is left joins the banked forest; by the rule in _leave the root is
     # live and so is each live vertex's parent
     banked += [norm_edge(parent[v], v) for v in range(1, n) if count[v] >= 0]
+    del child_heap, buckets, count
     if banked:
-        _clique_cover_loop(_banked_rows(n, banked), 4, parent, occupied, additions)
-    # every addition is in occupied too; free it before CompletionSet copies them
-    del occupied
+        _clique_cover_loop(_banked_rows(n, banked), 4, parent, set(additions), additions)
     return CompletionSet(additions)
 
 

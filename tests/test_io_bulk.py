@@ -1,6 +1,6 @@
 """What kcover writes is read in bulk: the line-by-line readers, which only
-name a bad line, are never reached, and the bulk path's peak memory stays
-within a fixed multiple of what its result keeps."""
+name a bad line, are never reached, and reading a graph in bulk peaks within
+a fixed multiple of what the graph keeps."""
 
 import tracemalloc
 
@@ -53,15 +53,15 @@ def test_written_completions_are_read_in_bulk(bulk_only, c):
     assert parse_completion(format_completion(c)) == c
 
 
-def test_bulk_read_peaks_within_a_multiple_of_its_result():
-    # peak / kept was 2.3 line by line and is 2.2 in bulk; validating with a
-    # repeated group over the lines, fullmatch(r"(?:<pair>\n)*"), took 4.0
+def test_bulk_read_into_a_graph_peaks_within_a_multiple_of_the_graph():
+    # peak / kept is 1.8 with the rows filled as the text is converted, and
+    # was 3.2 with a list of the text's tokens and then one of its pairs
     text = format_edge_list(gen_random_chordal(20000, 4, 1))
     tracemalloc.start()
     try:
-        n, pairs = io.parse_edge_pairs(text)
+        g = parse_edge_list(text)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(pairs) > 30_000
-    assert peak <= 3.0 * kept
+    assert g.m > 30_000
+    assert peak <= 2.4 * kept

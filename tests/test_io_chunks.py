@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from kcover import gen_random_chordal
+from kcover import io
 from kcover.cli import main
 from kcover.io import format_edge_list, read_graph
 
@@ -62,6 +63,7 @@ def _run(argv: list[str], capsys) -> str:
 
 
 def test_reads_and_verdicts_golden_hash(tmp_path, capsys, quiet_env):
+    assert io.CHUNK == CHUNK  # the sized texts straddle the reader's chunk
     gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
     cpath.write_text("# additions=0\n")
     h = hashlib.sha256()

@@ -2,8 +2,8 @@
 
 tests/helpers.py keeps parse_edge_pairs and parse_completion as they were
 when every line was stripped, split and converted in Python.  On every text
-below, each reader and its copy return equal values, or both raise an
-InputError with the same message.  The texts are mostly well-formed pair
+below, each reader and its copy return equal values (the edge-list reader's
+pairs listed), or both raise an InputError with the same message.  The texts are mostly well-formed pair
 lines; some carry the odd lines, blanks, line ends and integers that only a
 line-by-line reading handles.
 """
@@ -82,6 +82,15 @@ def completions(draw) -> str:
     return joined(draw, lines)
 
 
+def listed_edge_pairs(text: str, connected: bool) -> tuple[int, list[tuple[int, int]]]:
+    """parse_edge_pairs with its pairs listed, after a check that a second
+    read of them gives the same pairs."""
+    n, pairs = parse_edge_pairs(text, connected)
+    first = list(pairs)
+    assert list(pairs) == first and len(pairs) == len(first)
+    return n, first
+
+
 def outcome(read, *args):
     try:
         return "value", read(*args)
@@ -92,7 +101,7 @@ def outcome(read, *args):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(edge_lists(), st.booleans())
 def test_parse_edge_pairs_matches_the_line_by_line_reader(text, connected):
-    assert outcome(parse_edge_pairs, text, connected) == outcome(
+    assert outcome(listed_edge_pairs, text, connected) == outcome(
         linewise_edge_pairs, text, connected)
 
 

@@ -1,5 +1,5 @@
-"""Peak memory per vertex of building a graph, writing it, each solve route
-and check.
+"""Peak memory per vertex of generating, reading, building and writing a
+graph, of each solve route and of check.
 
 tracemalloc's peak, taken over one call with its input already built, is
 divided by the vertex count.  Each route has its own bound at each size,
@@ -12,7 +12,7 @@ import tracemalloc
 
 from kcover import CoverSpec, Graph, optimal_chordal_31, validate_pairs
 from kcover.generators import gen_random_chordal, gen_random_tree
-from kcover.io import format_edge_list
+from kcover.io import format_edge_list, parse_edge_pairs
 from kcover.trees import RootedTree, approx_tree_4, approx_tree_k, optimal_tree_31
 
 SIZES = (20_000, 40_000)
@@ -21,10 +21,13 @@ SIZES = (20_000, 40_000)
 PEAK_BYTES_PER_VERTEX = {
     "Graph(tree)": ((97, 130), (97, 130)),
     "Graph(chordal)": ((110, 145), (110, 145)),
+    "Graph(parse_edge_pairs(tree))": ((185, 240), (171, 222)),
+    "Graph(parse_edge_pairs(chordal w4))": ((230, 300), (223, 290)),
+    "gen_random_chordal(4)": ((193, 250), (175, 228)),
     "format_edge_list(tree)": ((68, 90), (70, 92)),
     "format_edge_list(chordal)": ((75, 100), (78, 102)),
     "optimal_tree_31": ((239, 310), (245, 320)),
-    "approx_tree_4": ((350, 455), (278, 360)),
+    "approx_tree_4": ((262, 340), (185, 240)),
     "approx_tree_k(5)": ((287, 375), (223, 290)),
     "optimal_chordal_31": ((155, 200), (148, 190)),
     "validate_pairs(3)": ((130, 170), (133, 175)),
@@ -32,6 +35,7 @@ PEAK_BYTES_PER_VERTEX = {
     "validate_pairs(5)": ((522, 680), (500, 650)),
     "validate_pairs(star, 4)": ((257, 335), (195, 255)),
     "validate_pairs(chordal w4, 3)": ((197, 255), (202, 265)),
+    "validate_pairs(parse_edge_pairs(chordal w4), 3)": ((286, 372), (296, 385)),
 }
 
 
@@ -56,6 +60,8 @@ def _routes(n: int) -> dict:
     star_pairs, star_completion = star.edge_list(), approx_tree_4(RootedTree.from_graph(star))
     wide = gen_random_chordal(n, 4, 7)
     wide_pairs, wide_completion = wide.edge_list(), optimal_chordal_31(wide)
+    # kcover check reads its graph as this
+    tree_text, wide_text = format_edge_list(g), format_edge_list(wide)
 
     def check(k):
         return validate_pairs(n, tree_pairs, completions[k], CoverSpec(k, 1))
@@ -63,6 +69,9 @@ def _routes(n: int) -> dict:
     return {
         "Graph(tree)": lambda: Graph(n, tree_pairs),
         "Graph(chordal)": lambda: Graph(n, chordal_pairs),
+        "Graph(parse_edge_pairs(tree))": lambda: Graph(*parse_edge_pairs(tree_text)),
+        "Graph(parse_edge_pairs(chordal w4))": lambda: Graph(*parse_edge_pairs(wide_text)),
+        "gen_random_chordal(4)": lambda: gen_random_chordal(n, 4, 7),
         "format_edge_list(tree)": lambda: format_edge_list(g),
         "format_edge_list(chordal)": lambda: format_edge_list(chordal),
         "optimal_tree_31": lambda: optimal_tree_31(t),
@@ -75,6 +84,9 @@ def _routes(n: int) -> dict:
         "validate_pairs(star, 4)": lambda: validate_pairs(n, star_pairs, star_completion, CoverSpec(4)),
         "validate_pairs(chordal w4, 3)": lambda: validate_pairs(
             n, wide_pairs, wide_completion, CoverSpec(3)
+        ),
+        "validate_pairs(parse_edge_pairs(chordal w4), 3)": lambda: validate_pairs(
+            *parse_edge_pairs(wide_text), wide_completion, CoverSpec(3)
         ),
     }
 

@@ -11,10 +11,11 @@ of them with --count 0), so a rerun draws the same mutants.  --function
 keeps only the sites inside the named functions or methods.
 
 src/ is copied to a temporary directory, and each mutant is written to the
-copy, never under src/.  The pytest selection after `--` then runs against
-the copy, one process at a time, stopping at its first failure or after
-TIMEOUT seconds.  A failure or a timeout kills the mutant.  The copy's
-unmutated module, written back the same way, must pass first.
+copy, never under src/.  The copy's unmutated module, written back the
+same way, must pass the pytest selection after `--` first, and that run is
+timed.  The selection then runs against each mutant, one process at a
+time, stopping at its first failure or after TIMEOUT_FACTOR times the
+unmutated run's wall-clock time.  A failure or a timeout kills the mutant.
 
 It prints one line per mutant, then the module's kill rate and its
 survivors.  The exit status is 0 whatever the kill rate, and 1 when the
@@ -31,12 +32,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
-TIMEOUT = 300.0  # seconds per test run; a mutant that loops forever is killed
+# a mutant's run is stopped at this many times the unmutated run's time, so
+# that one which loops forever is killed
+TIMEOUT_FACTOR = 10
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -113,8 +117,9 @@ def mutate(source: str, index: int | None) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def run_tests(src: Path, selection: list[str]) -> str:
-    """'passed', 'failed' or 'timeout' for the selection run against src."""
+def run_tests(src: Path, selection: list[str], timeout: float | None) -> str:
+    """'passed', 'failed' or 'timeout' for the selection run against src,
+    stopped after timeout seconds (never with None)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     cmd = [
@@ -123,7 +128,7 @@ def run_tests(src: Path, selection: list[str]) -> str:
     ]
     try:
         done = subprocess.run(
-            cmd, cwd=ROOT, env=env, timeout=TIMEOUT,
+            cmd, cwd=ROOT, env=env, timeout=timeout,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -163,12 +168,15 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         target = Path(tmp) / relative
         target.write_text(mutate(source, None))
-        if run_tests(src, selection) != "passed":
+        started = time.perf_counter()
+        if run_tests(src, selection, None) != "passed":
             print(f"{relative}: the selection fails without a mutant", file=sys.stderr)
             return 1
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - started)
+        print(f"{relative}: unmutated run passed; a mutant's run stops after {timeout:.0f} s")
         for site in sites:
             target.write_text(mutate(source, site.index))
-            outcome = run_tests(src, selection)
+            outcome = run_tests(src, selection, timeout)
             verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
             print(f"{verdict:17} {relative}:{site}", flush=True)
             if outcome == "passed":
