@@ -84,7 +84,7 @@ def _bulk_pairs(text: str, start: int) -> PairSource | None:
     The text is searched by a C-level bulk operation; text it refuses goes to
     the line-by-line readers, which name the first bad line.  Every read of
     the pairs converts the text afresh (see _numbers), so that neither a list
-    of its tokens nor one of its pairs is ever made.
+    of all its tokens nor one of its pairs is ever made.
     """
     if _BAD_LINE.search(text, start):
         return None
@@ -94,8 +94,11 @@ def _bulk_pairs(text: str, start: int) -> PairSource | None:
 
 def _numbers(text: str, start: int) -> Iterator[int]:
     """The integers of text from start on, split and converted a chunk (see
-    CHUNK) at a time."""
-    return chain.from_iterable(map(int, chunk.split()) for chunk in _chunks(text, start))
+    CHUNK) at a time.  A chunk's integers are listed before they are handed
+    out: made one by one as rows are filled, they would share the
+    allocator's pools with the rows' small arrays, and the chordal solve on a
+    graph so read ran 5-10% slower."""
+    return chain.from_iterable(list(map(int, chunk.split())) for chunk in _chunks(text, start))
 
 
 def _chunks(text: str, start: int) -> Iterator[str]:

@@ -7,10 +7,13 @@ message it must end in.  When an input has several faults, the first one in
 input order is the one reported.
 """
 
+from itertools import chain
+
 import pytest
 
 from kcover import CompletionSet, CoverSpec, Graph, InputError, validate_pairs
 from kcover.cli import main
+from kcover.graph import PairSource
 from kcover.io import parse_completion, parse_edge_list
 
 NEGATIVE = "vertex count must be non-negative"
@@ -67,6 +70,15 @@ def _outcome(build):
         return str(exc)
 
 
+def _source(pairs, reads):
+    """A PairSource of pairs that counts its reads in reads[0]."""
+    def numbers():
+        reads[0] += 1
+        return chain.from_iterable(pairs)
+
+    return PairSource(len(pairs), numbers)
+
+
 def _edge_text(n, pairs):
     return "".join(f"{u} {v}\n" for u, v in [(n, len(pairs)), *pairs])
 
@@ -81,9 +93,20 @@ def test_graph_readers_raise_the_first_fault(n, pairs, message):
     empty, spec = CompletionSet(), CoverSpec(3)
     assert _outcome(lambda: Graph(n, pairs)) == message
     assert _outcome(lambda: Graph(n, iter(pairs))) == message
+    assert _outcome(lambda: Graph(n, _source(pairs, [0]))) == message
     assert _outcome(lambda: validate_pairs(n, pairs, empty, spec)) == message
     assert _outcome(lambda: validate_pairs(n, iter(pairs), empty, spec)) == message
+    assert _outcome(lambda: validate_pairs(n, _source(pairs, [0]), empty, spec)) == message
     assert _outcome(lambda: parse_edge_list(_edge_text(n, pairs))) == message
+
+
+@pytest.mark.parametrize("pairs,want", [([(0, 1), (2, 1)], 1), ([(0, 1), (2, 1), (1, 0)], 2)],
+                         ids=["well-formed", "repeat"])
+def test_a_pair_source_is_read_again_only_to_name_a_fault(pairs, want):
+    for read in (Graph, lambda n, s: validate_pairs(n, s, CompletionSet(), CoverSpec(3))):
+        reads = [0]
+        _outcome(lambda: read(3, _source(pairs, reads)))
+        assert reads[0] == want
 
 
 @pytest.mark.parametrize("n,pairs,message", [c[1:] for c in GRAPH_CASES],
