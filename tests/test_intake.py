@@ -53,6 +53,8 @@ COMPLETION_FILES = [
     ("bad-count", "# additions=two\n0 2\n", "bad additions count in '# additions=two'"),
     ("bad-count-before-a-good-one", "# additions=two\n# additions=1\n0 2\n",
      "bad additions count in '# additions=two'"),
+    ("count-given-twice-in-one-line", "# additions=1 additions=1\n0 2\n",
+     "bad additions count in '# additions=1 additions=1'"),
     ("count-mismatch", "# additions=2\n0 2\n", "file declares additions=2 but lists 1 pairs"),
     ("bad-pair-line-before-a-bad-count", "0 x\n# additions=two\n",
      "bad additions count in '# additions=two'"),
