@@ -141,6 +141,33 @@ def test_check_failure_output_is_golden(tmp_path, capsys, quiet_env):
     )
 
 
+# (graph text, completion text, the error check reports): a fault of the
+# completion's own (a repeat or a self-loop) comes first, then the graph's
+# faults, then an addition out of range or already an edge, in file order
+BOTH_FILES_FAULTY = [
+    ("4 4\n0 1\n1 2\n2 3\n1 0\n", "# additions=2\n0 2\n2 0\n", "duplicate addition (0, 2)"),
+    ("4 3\n0 1\n1 2\n2 9\n", "# additions=1\n3 3\n", "self-loop (3,3) is not allowed"),
+    ("4 3\n0 1\n1 2\n2 2\n", "# additions=1\n1 0\n", "self-loop (2,2) is not allowed"),
+    ("4 3\n0 1\n1 2\n2 3\n", "# additions=2\n0 2\n2 1\n", "addition (1, 2) is already an edge"),
+    ("4 3\n0 1\n1 2\n2 3\n", "# additions=2\n2 1\n1 2\n", "duplicate addition (1, 2)"),
+    ("4 3\n0 1\n1 2\n2 3\n", "0 7\n2 1\n", "addition (0, 7) out of range for n=4"),
+    ("4 3\n0 1\n1 2\n2 3\n", "2 1\n0 7\n", "addition (1, 2) is already an edge"),
+    ("4 3\n0 1\n1 2\n2 3\n", "# a comment\n0 2\n2 2\n", "self-loop (2,2) is not allowed"),
+]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("graph, completion, message", BOTH_FILES_FAULTY)
+def test_check_names_the_first_fault_of_both_files(
+    tmp_path, capsys, quiet_env, k, graph, completion, message
+):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text(graph)
+    cpath.write_text(completion)
+    assert main(["check", "--k", str(k), "--graph", str(gpath), "--completion", str(cpath)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_check_logs_its_verdict_at_info(tmp_path, capsys, caplog, monkeypatch):
     monkeypatch.setenv("COVER_LOG", "info")
     caplog.set_level(logging.INFO, logger="kcover")

@@ -259,6 +259,35 @@ def test_tree_approximations_golden_hash():
     assert h.hexdigest() == GOLDEN_TREE_APPROX_SHA256
 
 
+# sha256 of format_completion(approx_tree_4(t)) on inputs large enough for a
+# banked forest of hundreds of edges in phase two
+GOLDEN_APPROX_4_LARGE_SHA256 = {
+    "random-tree-40000-seed-1": (
+        lambda: gen_random_tree(40_000, 1),
+        "dd9a1bed1dab660b0ed552b0d4b932013e7b23bc114e8603bfece38c2f2b83cf",
+    ),
+    "random-tree-40000-seed-2": (
+        lambda: gen_random_tree(40_000, 2),
+        "fd4a233e09da96af9c50e7ced2315b770aa7233c398237364c7175d63880e177",
+    ),
+    "random-tree-40000-seed-3": (
+        lambda: gen_random_tree(40_000, 3),
+        "4d77f110ea6f71270643651ea71ff2b27e9888e6b0ddace16860a842d072e3e7",
+    ),
+    "worst-case-spider-10001": (
+        lambda: worst_case_spider(10_001),
+        "c0cd9567f3f19aa8315794b26ef492a611c9e0cc0e9f6d8c0b925fe41693b4cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_APPROX_4_LARGE_SHA256)
+def test_approx_tree_4_large_golden_hashes(name):
+    build, digest = GOLDEN_APPROX_4_LARGE_SHA256[name]
+    text = format_completion(approx_tree_4(rooted(build())))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_approx_tree_4_frozen_examples():
     star = star_graph(4)
     c = approx_tree_4(rooted(star))
