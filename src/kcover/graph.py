@@ -453,31 +453,37 @@ def _check_addition(e: Edge, n: int, is_edge: bool) -> None:
 
 
 def validate_pairs(
-    n: int, pairs: Iterable[tuple[int, int]], c: CompletionSet, spec: CoverSpec
+    n: int,
+    pairs: Iterable[tuple[int, int]],
+    c: Iterable[tuple[int, int]],
+    spec: CoverSpec,
 ) -> CoverCheck:
-    """Check that the graph on 0..n-1 with edges pairs, plus c, has a (k,l)-cover
-    and is connected, raising the InputErrors of Graph(n, pairs) and of
+    """Check that the graph on 0..n-1 with edges pairs, plus the additions c,
+    has a (k,l)-cover and is connected, raising the InputErrors of
+    CompletionSet(c), then those of Graph(n, pairs), then those of
     apply_completion.
 
-    No Graph is built: the pairs, read once unless a fault is found (see
-    _rereadable), and c's additions go into neighbour rows, held only for the
-    vertices they touch, so memory follows the input and not n.  An endpoint
-    out of range shows as a row key below 0 or of n or more, and a repeat, a
-    self-loop or an addition that is already an edge as a row whose set is
-    shorter, found as the scan makes that set; only a fault found so makes
-    the in-order rescan run, which raises the first one.  Every edge is
-    scanned once against the rows (see _cover_check).
+    No Graph or CompletionSet is built: the pairs and the additions, each
+    read once unless a fault is found (see _rereadable), go into neighbour
+    rows, held only for the vertices they touch, so memory follows the input
+    and not n.  An endpoint out of range shows as a row key below 0 or of n
+    or more, and a repeat, a self-loop or an addition that is already an
+    edge as a row whose set is shorter, found as the scan makes that set;
+    only a fault found so makes the in-order rescan run, which raises the
+    first one.  Every edge is scanned once against the rows (see
+    _cover_check).
     """
-    if n < 0:
-        raise InputError("vertex count must be non-negative")
-    pairs = _rereadable(pairs)
+    pairs, c = _rereadable(pairs), _rereadable(c)
 
     def fault() -> NoReturn:
+        additions = CompletionSet(c)
         edge_set = frozenset(_checked_edges(pairs, n))
-        for e in c:
+        for e in additions:
             _check_addition(e, n, e in edge_set)
         raise AssertionError("a fault was found in bulk but not in order")
 
+    if n < 0:
+        fault()
     return _cover_check(n, _neighbour_rows(chain(pairs, c), n, fault), spec, fault)
 
 

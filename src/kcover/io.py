@@ -200,6 +200,13 @@ def format_edge_list(g: Graph) -> str:
 
 def parse_completion(text: str) -> CompletionSet:
     """Completion file: "u v" lines, counted by an optional "# additions=N" (the last one)."""
+    return CompletionSet(parse_completion_pairs(text))
+
+
+def parse_completion_pairs(text: str) -> PairSource | list[tuple[int, int]]:
+    """The pairs of a completion file (see parse_completion), returned as
+    read, unchecked but for their count: a PairSource over text, or a list
+    when a line is not a pair line as kcover writes it."""
     head, start = _first_line(text)
     count = _ints(_COUNT_LINE.fullmatch(head))
     pairs = _bulk_pairs(text, start if count else 0)
@@ -209,7 +216,7 @@ def parse_completion(text: str) -> CompletionSet:
         declared = count[0] if count else None
     if declared is not None and declared != len(pairs):
         raise InputError(f"file declares additions={declared} but lists {len(pairs)} pairs")
-    return CompletionSet(pairs)
+    return pairs
 
 
 def _linewise_completion(text: str) -> tuple[int | None, list[tuple[int, int]]]:
@@ -372,6 +379,10 @@ def write_graph(path: str | Path, g: Graph) -> None:
 
 def read_completion(path: str | Path) -> CompletionSet:
     return parse_completion(read_text(path))
+
+
+def read_completion_pairs(path: str | Path) -> PairSource | list[tuple[int, int]]:
+    return parse_completion_pairs(read_text(path))
 
 
 def write_completion(path: str | Path, c: CompletionSet) -> None:

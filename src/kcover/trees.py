@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .graph import CompletionSet, Edge, Graph, _in_row, components, neighbour_sets, norm_edge
+from .graph import CompletionSet, Edge, Graph, _in_row, components, norm_edge
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,31 @@ class RootedTree:
             raise InputError("not a tree: graph is disconnected")
         return cls(base=g, parent=tuple(parent), depth=tuple(depth))
 
-    def children(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.base.n)]
-        for v in range(1, self.base.n):
-            out[self.parent[v]].append(v)
-        return out
 
+def _next_child(
+    rows: Sequence[Sequence[int]],
+    parent: Sequence[int],
+    count: Sequence[int],
+    passed: list[int],
+    v: int,
+    skip: int = -1,
+) -> int:
+    """The smallest live child of v other than skip, in a residual tree whose
+    `count` is each vertex's live-child count or -1 once it is gone (see
+    _leave).
 
-def _pop_alive_child(heap: list[int], count: list[int], skip: int = -1) -> int | None:
-    """Smallest live child from a consume-only heap; `skip` is discarded too."""
-    while heap:
-        c = heapq.heappop(heap)
-        if count[c] >= 0 and c != skip:
+    rows[v] is v's ascending neighbour row, whose entries before passed[v]
+    have been passed over.  v's parent, gone children and skip are passed
+    over on the way, and so is the child found, so the caller must make it
+    and skip leave: then no entry of a row is passed twice.
+    """
+    row, i, up = rows[v], passed[v], parent[v]
+    while True:
+        c = row[i]
+        i += 1
+        if c != up and c != skip and count[c] >= 0:
+            passed[v] = i
             return c
-    return None
 
 
 def _leave(parent: Sequence[int], count: list[int], gone: Sequence[int]) -> None:
@@ -108,7 +119,7 @@ def _p3_paths(
     count is odd its last edge is left over, yielded as (parent, child).
     """
     count = [0] * len(rows)  # live children, -1 once gone
-    passed = [0] * len(rows)  # entries of rows[v] passed over for a live child
+    passed = [0] * len(rows)  # entries of rows[v] passed over (see _next_child)
     for order in trees:
         for v in order:
             count[v] = len(rows[v]) - (parent[v] != v)
@@ -125,14 +136,7 @@ def _p3_paths(
                 break
             # v leaves with a sibling if it has one, else with its parent
             if count[u] >= 2:
-                row, i, up = rows[u], passed[u], parent[u]
-                while True:  # the smallest live child of u other than v
-                    mate = row[i]
-                    i += 1
-                    if mate != up and mate != v and count[mate] >= 0:
-                        break
-                passed[u] = i
-                far = mate
+                mate = far = _next_child(rows, parent, count, passed, u, skip=v)
             else:
                 mate, far = u, parent[u]
             _leave(parent, count, (v, mate))
@@ -458,19 +462,25 @@ def _clique_cover_loop(
     parent: Sequence[int],
     occupied: set[Edge],
     additions: list[Edge],
+    names: Sequence[int] | None = None,
 ) -> tuple[list[int], int]:
     """Cover by k-cliques the edges of a forest inside the tree whose parent
     array is `parent`, extending `occupied` and `additions` (see _add_clique).
 
-    Returns the number of forest edges covered at each iteration and the
-    number of vertices the forest pool explored.
+    adj holds the forest's sorted neighbour rows, its vertex i standing for
+    the tree's vertex names[i] (i itself without names); the names must
+    ascend.  A clique short of k vertices is padded with the lowest ids of
+    the tree.  Returns the number of forest edges covered at each iteration
+    and the number of vertices the forest pool explored.
     """
     pool = _ForestPool(adj, k)
     covered: list[int] = []
     while pool.smallest_id_comp_at_least(2) is not None:
         vertices, edges = _extract_step(pool, k)
+        if names is not None:
+            vertices = [names[v] for v in vertices]
         if len(vertices) < k:
-            vertices = sorted(vertices + _pad_vertices(vertices, len(adj), k - len(vertices)))
+            vertices = sorted(vertices + _pad_vertices(vertices, len(parent), k - len(vertices)))
         _add_clique(vertices, parent, occupied, additions)
         covered.append(len(edges))
     return covered, pool.explored
@@ -496,21 +506,23 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     deepest leaf with the most siblings: three of its vertices leave the
     residual tree and one stays, and at most one detached edge is banked per
     step.  Every step checks that no vertex that left keeps a live child, so
-    the live vertices still form one tree.  Two steps' cliques share at most
-    the earlier step's survivor, as its other three vertices leave, so phase
-    one adds each clique's pairs without looking for them among the earlier
-    additions.  Phase two covers the banked forest with the generic k=4 loop,
-    from a set of the additions so far.
+    the live vertices still form one tree.  Each vertex's children are found
+    by a cursor along its sorted neighbour row (see _next_child).  Two steps'
+    cliques share at most the earlier step's survivor, as its other three
+    vertices leave, so phase one adds each clique's pairs without looking for
+    them among the earlier additions.  Phase two covers the banked forest
+    with the generic k=4 loop, on the banked vertices renamed to 0, 1, ...
+    in order, and drops its pairs that phase one added.
     """
     g = t.base
     n = g.n
     if n < 4:
         raise InputError(f"tree has {n} vertices, needs at least 4")
-    parent = t.parent
-    # consume-only heaps of each vertex's children: ascending lists already are
-    child_heap = t.children()
-    count = [len(h) for h in child_heap]
-    depth = t.depth
+    rows, parent, depth = g.adj, t.parent, t.depth
+    # live children: each row minus the parent, which the root has not
+    count = [len(row) - 1 for row in rows]
+    count[0] += 1
+    passed = [0] * n
     # per-depth heaps of (-child count, vertex); vertices never change depth,
     # so the deepest non-empty one only moves toward the root
     top = max(depth)
@@ -532,26 +544,28 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
             if count[u] == -neg_count:
                 break
         # the cases only pick the three vertices that leave and the one that stays
-        kids = child_heap[u]
-        dead = [_pop_alive_child(kids, count)]
+        dead = [_next_child(rows, parent, count, passed, u)]
         if count[u] >= 3:
-            dead += [_pop_alive_child(kids, count), _pop_alive_child(kids, count)]
+            dead += [
+                _next_child(rows, parent, count, passed, u),
+                _next_child(rows, parent, count, passed, u),
+            ]
             survivor = u
         elif count[u] == 2:
-            dead += [_pop_alive_child(kids, count), u]
+            dead += [_next_child(rows, parent, count, passed, u), u]
             survivor = parent[u]
         else:
             w = parent[u]
-            u1 = _pop_alive_child(child_heap[w], count, skip=u) if count[w] >= 2 else None
-            if u1 is None:
+            if count[w] < 2:
                 dead += [u, w]
                 survivor = parent[w]
             else:
+                u1 = _next_child(rows, parent, count, passed, w, skip=u)
                 dead += [u, u1]
                 survivor = w
                 if count[u1]:
                     # u1's one child leaves too; its edge is banked for phase two
-                    c = _pop_alive_child(child_heap[u1], count)
+                    c = _next_child(rows, parent, count, passed, u1)
                     banked.append(norm_edge(u1, c))
                     dead.append(c)
         # the 4-clique: the survivor and the three that leave, not a banked child
@@ -563,21 +577,32 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
     # what is left joins the banked forest; by the rule in _leave the root is
     # live and so is each live vertex's parent
     banked += [norm_edge(parent[v], v) for v in range(1, n) if count[v] >= 0]
-    del child_heap, buckets, count
+    del passed, buckets, count
     if banked:
-        _clique_cover_loop(_banked_rows(n, banked), 4, parent, set(additions), additions)
+        names, forest = _banked_forest(banked)
+        occupied: set[Edge] = set()
+        extra: list[Edge] = []
+        _clique_cover_loop(forest, 4, parent, occupied, extra, names)
+        taken = occupied.intersection(additions)
+        additions += [e for e in extra if e not in taken]
     return CompletionSet(additions)
 
 
-def _banked_rows(n: int, banked: list[Edge]) -> list[Sequence[int]]:
-    """Sorted neighbour rows of the banked forest on n vertices, which must
+def _banked_forest(banked: list[Edge]) -> tuple[list[int], list[list[int]]]:
+    """The banked forest's vertices, ascending, and its sorted neighbour rows
+    with each vertex renamed to its position among them.  The forest must
     consist of single edges plus at most one 2-edge path."""
-    rows: list[Sequence[int]] = [()] * n
-    for v, ws in neighbour_sets(banked).items():
-        rows[v] = sorted(ws)
-    sizes = sorted(len(c) for c in components(rows, (u for u, _ in banked)))
-    if sizes and sizes[-1] > 3:
+    names = sorted({v for e in banked for v in e})
+    position = {v: i for i, v in enumerate(names)}
+    rows: list[list[int]] = [[] for _ in names]
+    for u, v in banked:
+        rows[position[u]].append(position[v])
+        rows[position[v]].append(position[u])
+    for row in rows:
+        row.sort()
+    sizes = sorted(len(c) for c in components(rows, range(len(rows))))
+    if sizes[-1] > 3:
         raise AssertionError("banked component larger than a 2-edge path")
     if sizes.count(3) > 1:
         raise AssertionError("more than one 2-edge path banked")
-    return rows
+    return names, rows

@@ -12,7 +12,7 @@ import tracemalloc
 
 from kcover import CoverSpec, Graph, optimal_chordal_31, validate_pairs
 from kcover.generators import gen_random_chordal, gen_random_tree
-from kcover.io import format_edge_list, parse_edge_pairs
+from kcover.io import format_completion, format_edge_list, parse_completion_pairs, parse_edge_pairs
 from kcover.trees import RootedTree, approx_tree_4, approx_tree_k, optimal_tree_31
 
 SIZES = (20_000, 40_000)
@@ -27,12 +27,13 @@ PEAK_BYTES_PER_VERTEX = {
     "format_edge_list(tree)": ((68, 90), (70, 92)),
     "format_edge_list(chordal)": ((75, 100), (78, 102)),
     "optimal_tree_31": ((239, 310), (245, 320)),
-    "approx_tree_4": ((262, 340), (185, 240)),
+    "approx_tree_4": ((215, 280), (154, 200)),
     "approx_tree_k(5)": ((287, 375), (223, 290)),
     "optimal_chordal_31": ((155, 200), (148, 190)),
     "validate_pairs(3)": ((130, 170), (133, 175)),
     "validate_pairs(4)": ((140, 185), (143, 190)),
     "validate_pairs(5)": ((522, 680), (500, 650)),
+    "validate_pairs(parse_completion_pairs(tree), 4)": ((221, 287), (208, 270)),
     "validate_pairs(star, 4)": ((257, 335), (195, 255)),
     "validate_pairs(chordal w4, 3)": ((197, 255), (202, 265)),
     "validate_pairs(parse_edge_pairs(chordal w4), 3)": ((286, 372), (296, 385)),
@@ -60,8 +61,9 @@ def _routes(n: int) -> dict:
     star_pairs, star_completion = star.edge_list(), approx_tree_4(RootedTree.from_graph(star))
     wide = gen_random_chordal(n, 4, 7)
     wide_pairs, wide_completion = wide.edge_list(), optimal_chordal_31(wide)
-    # kcover check reads its graph as this
+    # kcover check reads its graph and its completion as these
     tree_text, wide_text = format_edge_list(g), format_edge_list(wide)
+    tree_completion_text = format_completion(completions[4])
 
     def check(k):
         return validate_pairs(n, tree_pairs, completions[k], CoverSpec(k, 1))
@@ -81,6 +83,9 @@ def _routes(n: int) -> dict:
         "validate_pairs(3)": lambda: check(3),
         "validate_pairs(4)": lambda: check(4),
         "validate_pairs(5)": lambda: check(5),
+        "validate_pairs(parse_completion_pairs(tree), 4)": lambda: validate_pairs(
+            n, tree_pairs, parse_completion_pairs(tree_completion_text), CoverSpec(4)
+        ),
         "validate_pairs(star, 4)": lambda: validate_pairs(n, star_pairs, star_completion, CoverSpec(4)),
         "validate_pairs(chordal w4, 3)": lambda: validate_pairs(
             n, wide_pairs, wide_completion, CoverSpec(3)

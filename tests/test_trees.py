@@ -36,7 +36,7 @@ def test_rooted_tree_from_path():
     t = rooted(path_graph(5))
     assert t.parent == (0, 0, 1, 2, 3)
     assert t.depth == (0, 1, 2, 3, 4)
-    kids = t.children()
+    kids = [[v for v in range(1, 5) if t.parent[v] == u] for u in range(5)]
     assert kids[0] == [1] and kids[3] == [4] and kids[4] == []
 
 
@@ -326,8 +326,8 @@ def test_approx_tree_4_deterministic():
 
 def test_approx_tree_4_counted_heap_work_scales_per_doubling(monkeypatch):
     # A deterministic stand-in for a doubling-time test: every heap push and
-    # pop in kcover.trees is counted (approx_tree_4's depth buckets and child
-    # heaps, and the forest pool's heaps in phase two).  O(n log n) work grows
+    # pop in kcover.trees is counted (approx_tree_4's depth buckets, and the
+    # forest pool's heaps in phase two).  O(n log n) work grows
     # at most 2.2x per doubling of n here; on these inputs it is 1.99-2.01x.
     counts = Counter()
     monkeypatch.setattr(trees, "heapq", counting_heapq(counts))
@@ -341,6 +341,28 @@ def test_approx_tree_4_counted_heap_work_scales_per_doubling(monkeypatch):
         assert min(work[0]) > 0
         for small, large in zip(work, work[1:]):
             assert all(b <= 2.2 * a for a, b in zip(small, large)), work
+
+
+def test_approx_tree_4_child_cursors_pass_each_row_entry_at_most_once(monkeypatch):
+    # Every row entry that approx_tree_4's child cursors pass over is counted.
+    # Each cursor only moves forward along its vertex's row, so the total is
+    # at most the 2(n-1) entries of a tree's rows.
+    counts = Counter()
+    find = trees._next_child
+
+    def counted(rows, parent, count, passed, v, skip=-1):
+        before = passed[v]
+        child = find(rows, parent, count, passed, v, skip)
+        counts["passed"] += passed[v] - before
+        return child
+
+    monkeypatch.setattr(trees, "_next_child", counted)
+    for family in (lambda n: gen_random_tree(n, 7), lambda n: worst_case_spider(n + 1)):
+        for n in (10_000, 20_000, 40_000):
+            t = rooted(family(n))
+            counts.clear()
+            approx_tree_4(t)
+            assert 0 < counts["passed"] <= 2 * (t.base.n - 1), (n, counts)
 
 
 def _lying_depths(seed: int) -> RootedTree:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kcover import (
     CompletionSet, CoverSpec, Graph, InputError, validate_completion, validate_pairs,
 )
+from kcover.graph import PairSource
 
 from helpers import slow_validate
 
@@ -69,3 +70,24 @@ def test_validate_pairs_matches_validate_completion_property(n, k, l, data):
     assert _outcome(lambda: validate_pairs(n, pairs, c, spec)) == _outcome(
         lambda: validate_completion(Graph(n, pairs), c, spec)
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(-1, 8), k=st.integers(3, 6), data=st.data())
+def test_validate_pairs_of_raw_additions_checks_them_as_a_completion_set_property(n, k, data):
+    # the additions as a file lists them: in either orientation, with
+    # repeats, self-loops and pairs out of range, in a list or a PairSource;
+    # the completion set's faults come first, then the graph's
+    vertex = st.integers(-1, max(n, 0))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    adds = data.draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    source = PairSource(len(adds), lambda: chain.from_iterable(adds))
+    spec = CoverSpec(k)
+
+    def as_completion_set():
+        c = CompletionSet(adds)
+        return validate_completion(Graph(n, pairs), c, spec)
+
+    want = _outcome(as_completion_set)
+    assert _outcome(lambda: validate_pairs(n, pairs, adds, spec)) == want
+    assert _outcome(lambda: validate_pairs(n, pairs, source, spec)) == want
