@@ -130,7 +130,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     n, pairs = io.parse_edge_pairs(io.read_text(args.graph))
-    completion = io.read_completion_pairs(args.completion)
+    completion = io.parse_completion_pairs(io.read_text(args.completion))
     spec = CoverSpec(args.k, args.l)
     result = validate_pairs(n, pairs, completion, spec)
     log.info(

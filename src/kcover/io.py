@@ -381,10 +381,6 @@ def read_completion(path: str | Path) -> CompletionSet:
     return parse_completion(read_text(path))
 
 
-def read_completion_pairs(path: str | Path) -> PairSource | list[tuple[int, int]]:
-    return parse_completion_pairs(read_text(path))
-
-
 def write_completion(path: str | Path, c: CompletionSet) -> None:
     Path(path).write_text(format_completion(c))
 

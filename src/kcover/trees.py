@@ -462,23 +462,22 @@ def _clique_cover_loop(
     parent: Sequence[int],
     occupied: set[Edge],
     additions: list[Edge],
-    names: Sequence[int] | None = None,
+    names: Sequence[int],
 ) -> tuple[list[int], int]:
     """Cover by k-cliques the edges of a forest inside the tree whose parent
     array is `parent`, extending `occupied` and `additions` (see _add_clique).
 
     adj holds the forest's sorted neighbour rows, its vertex i standing for
-    the tree's vertex names[i] (i itself without names); the names must
-    ascend.  A clique short of k vertices is padded with the lowest ids of
-    the tree.  Returns the number of forest edges covered at each iteration
-    and the number of vertices the forest pool explored.
+    the tree's vertex names[i]; the names must ascend.  A clique short of k
+    vertices is padded with the lowest ids of the tree.  Returns the number
+    of forest edges covered at each iteration and the number of vertices the
+    forest pool explored.
     """
     pool = _ForestPool(adj, k)
     covered: list[int] = []
     while pool.smallest_id_comp_at_least(2) is not None:
         vertices, edges = _extract_step(pool, k)
-        if names is not None:
-            vertices = [names[v] for v in vertices]
+        vertices = [names[v] for v in vertices]
         if len(vertices) < k:
             vertices = sorted(vertices + _pad_vertices(vertices, len(parent), k - len(vertices)))
         _add_clique(vertices, parent, occupied, additions)
@@ -495,7 +494,7 @@ def approx_tree_k(t: RootedTree, k: int) -> CompletionSet:
     if g.n < k:
         raise InputError(f"tree has {g.n} vertices, needs at least k={k}")
     additions: list[Edge] = []
-    _clique_cover_loop(g.adj, k, t.parent, set(), additions)
+    _clique_cover_loop(g.adj, k, t.parent, set(), additions, range(g.n))
     return CompletionSet(additions)
 
 

@@ -79,7 +79,7 @@ def cover_trace(g: Graph, k: int) -> tuple[CompletionSet, list[int], int]:
     forest pool explored."""
     additions: list[tuple[int, int]] = []
     t = RootedTree.from_graph(g)
-    covered, explored = _clique_cover_loop(g.adj, k, t.parent, set(), additions)
+    covered, explored = _clique_cover_loop(g.adj, k, t.parent, set(), additions, range(g.n))
     completion = approx_tree_k(t, k)
     assert completion == CompletionSet(additions)
     return completion, covered, explored
