@@ -482,7 +482,7 @@ def validate_pairs(
             _check_addition(e, n, e in edge_set)
         raise AssertionError("a fault was found in bulk but not in order")
 
-    if n < 0:
+    if n < 0:  # refused by _checked_edges, after the faults of c itself
         fault()
     return _cover_check(n, _neighbour_rows(chain(pairs, c), n, fault), spec, fault)
 

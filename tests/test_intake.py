@@ -1,8 +1,8 @@
 """The exact error each reader of edge pairs raises, case by case.
 
 Graph, validate_pairs, parse_edge_list and `kcover solve`/`kcover check` read
-a vertex count and pairs; CompletionSet, parse_completion and the completion
-file of `kcover check` read pairs alone.  Each table row is one input and the
+a vertex count and pairs; CompletionSet, parse_completion, the additions of
+validate_pairs and the completion file of `kcover check` read pairs alone.  Each table row is one input and the
 message it must end in.  When an input has several faults, the first one in
 input order is the one reported.
 """
@@ -14,7 +14,7 @@ import pytest
 from kcover import CompletionSet, CoverSpec, Graph, InputError, validate_pairs
 from kcover.cli import main
 from kcover.graph import PairSource
-from kcover.io import parse_completion, parse_edge_list
+from kcover.io import parse_completion, parse_completion_pairs, parse_edge_list
 
 NEGATIVE = "vertex count must be non-negative"
 
@@ -137,6 +137,10 @@ def test_completion_readers_raise_the_first_fault(pairs, message):
     assert _outcome(lambda: CompletionSet(pairs)) == message
     assert _outcome(lambda: CompletionSet(iter(pairs))) == message
     assert _outcome(lambda: parse_completion(_pair_text(pairs))) == message
+    # validate_pairs takes the additions as read, and names their faults first
+    text = _pair_text(pairs)
+    for additions in (pairs, iter(pairs), _source(pairs, [0]), parse_completion_pairs(text)):
+        assert _outcome(lambda: validate_pairs(3, [(0, 1)], additions, CoverSpec(3))) == message
 
 
 @pytest.mark.parametrize("text,want", [c[1:] for c in COMPLETION_FILES],

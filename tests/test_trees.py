@@ -25,7 +25,7 @@ from kcover import (
 )
 from kcover import trees
 from kcover.io import format_completion
-from kcover.trees import _extract_step, _ForestPool
+from kcover.trees import _banked_forest, _extract_step, _ForestPool
 
 from helpers import (
     counting_heapq, cover_trace, path_graph, rooted, star_graph, valid_p3_partition,
@@ -363,6 +363,16 @@ def test_approx_tree_4_child_cursors_pass_each_row_entry_at_most_once(monkeypatc
             counts.clear()
             approx_tree_4(t)
             assert 0 < counts["passed"] <= 2 * (t.base.n - 1), (n, counts)
+
+
+def test_banked_forest_renames_in_order_and_refuses_what_phase_one_cannot_bank():
+    names, rows = _banked_forest([(10, 12), (3, 7), (7, 20)])
+    assert names == [3, 7, 10, 12, 20]
+    assert rows == [[1], [0, 4], [3], [2], [1]]
+    # a component beyond a 2-edge path, and a second 2-edge path
+    for banked in ([(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2), (5, 6), (6, 7)]):
+        with pytest.raises(AssertionError):
+            _banked_forest(banked)
 
 
 def _lying_depths(seed: int) -> RootedTree:
