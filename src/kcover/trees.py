@@ -545,10 +545,7 @@ def approx_tree_4(t: RootedTree) -> CompletionSet:
         # the cases only pick the three vertices that leave and the one that stays
         dead = [_next_child(rows, parent, count, passed, u)]
         if count[u] >= 3:
-            dead += [
-                _next_child(rows, parent, count, passed, u),
-                _next_child(rows, parent, count, passed, u),
-            ]
+            dead += [_next_child(rows, parent, count, passed, u) for _ in range(2)]
             survivor = u
         elif count[u] == 2:
             dead += [_next_child(rows, parent, count, passed, u), u]

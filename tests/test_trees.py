@@ -327,8 +327,8 @@ def test_approx_tree_4_deterministic():
 def test_approx_tree_4_counted_heap_work_scales_per_doubling(monkeypatch):
     # A deterministic stand-in for a doubling-time test: every heap push and
     # pop in kcover.trees is counted (approx_tree_4's depth buckets, and the
-    # forest pool's heaps in phase two).  O(n log n) work grows
-    # at most 2.2x per doubling of n here; on these inputs it is 1.99-2.01x.
+    # forest pool's heaps in phase two).  O(n log n) work grows at most 2.2x
+    # per doubling of n here; on these inputs it is 1.99-2.01x.
     counts = Counter()
     monkeypatch.setattr(trees, "heapq", counting_heapq(counts))
     for family in (lambda n: gen_random_tree(n, 7), lambda n: worst_case_spider(n + 1)):
